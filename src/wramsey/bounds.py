@@ -14,8 +14,6 @@ are rounded outward.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -153,47 +151,21 @@ def bounds_report(k: int) -> BoundsReport:
     )
 
 
-_EXHAUSTIVE_VERTEX_CAP = 12
-_SAMPLE_SIZE = 100_000
-
-
 def verify_weighting(c: TwoColoring, k: int, w: WeightAssignment) -> None:
     """Check every (k-subset, color) weight sum stays at most 1.
 
-    Exhaustive over the monochromatic constraint set up to n = 12 (or
-    whenever there are at most 100000 k-subsets); a fixed-seed sample of
-    100000 subsets beyond that.  Raises CertificateError on the first
-    violation.
+    Exhaustive over the monochromatic constraint set; ``Graph`` caps n at
+    16, where there are at most C(16,8) = 12870 k-subsets.  Raises
+    CertificateError on the first violation.
     """
-    n = c.n
-    if w.n != n:
+    if w.n != c.n:
         raise InputError("weighting and coloring disagree on n")
-    subset_count = 1
-    for j in range(k):
-        subset_count = subset_count * (n - j) // (j + 1)
-    if n <= _EXHAUSTIVE_VERTEX_CAP or subset_count <= _SAMPLE_SIZE:
-        for mc in build_constraints(c, k).constraints:
-            load = sum((w[e] for e in mc.edges), Fraction(0))
-            if load > 1:
-                raise CertificateError(
-                    f"{mc.color.value} subgraph on {mc.vertices} "
-                    f"exceeds the unit cap with weight {load}"
-                )
-        return
-    rng = random.Random(0)
-    for _ in range(_SAMPLE_SIZE):
-        subset = tuple(sorted(rng.sample(range(n), k)))
-        red_sum = Fraction(0)
-        blue_sum = Fraction(0)
-        for u, v in itertools.combinations(subset, 2):
-            if c.red.has_edge(u, v):
-                red_sum += w[(u, v)]
-            else:
-                blue_sum += w[(u, v)]
-        if red_sum > 1 or blue_sum > 1:
+    for mc in build_constraints(c, k).constraints:
+        load = sum((w[e] for e in mc.edges), Fraction(0))
+        if load > 1:
             raise CertificateError(
-                f"subset {subset} exceeds the unit cap "
-                f"(red {red_sum}, blue {blue_sum})"
+                f"{mc.color.value} subgraph on {mc.vertices} "
+                f"exceeds the unit cap with weight {load}"
             )
 
 
@@ -226,7 +198,9 @@ def construction_k4(n: int) -> tuple[TwoColoring, WeightAssignment, Fraction]:
         },
     )
     total = weights.total()
-    assert total == bipartite_total_weight(n)
+    expected = bipartite_total_weight(n)
+    if total != expected:
+        raise CertificateError(f"bipartite weighting totals {total}, not {expected}")
     verify_weighting(coloring, 4, weights)
     return coloring, weights, total
 
@@ -270,6 +244,8 @@ def construction_blowup(
         },
     )
     total = weights.total()
-    assert total == blowup_total_weight(n, k)
+    expected = blowup_total_weight(n, k)
+    if total != expected:
+        raise CertificateError(f"blow-up weighting totals {total}, not {expected}")
     verify_weighting(coloring, k, weights)
     return coloring, weights, total

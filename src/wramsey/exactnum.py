@@ -3,7 +3,7 @@
 ``Rational`` is an alias for :class:`fractions.Fraction`: arbitrary
 precision, always stored in lowest terms with a positive denominator, and
 every arithmetic operation is exact.  All linear programs in this package
-are solved over these rationals, so primal and dual certificates can be
+take and return these rationals, so primal and dual certificates can be
 checked with straight equality instead of tolerances.
 
 The solver is a dense two-phase simplex with Bland's anti-cycling pivot
@@ -11,6 +11,14 @@ rule.  Variables are nonnegative; constraints may be <=, >= or =.  On an
 OPTIMAL result the solution carries a primal vector and one dual value per
 constraint, extracted from the final basis, so strong duality is checkable
 without a second solve.
+
+Inside the solver the tableau is fraction-free (Edmonds 1967; Bareiss
+1968): rows scaled to integers, held as Python ``int`` numerators over one
+positive common denominator, the determinant of the current basis.  Every
+pivot keeps the integer tableau equal to that denominator times the
+rational tableau, so the pivot path, and with it every primal and dual
+witness, is the one the rational simplex would take.  Rationals appear
+again only at the boundary, when the solution is read off.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import InputError
@@ -25,7 +34,6 @@ from .errors import InputError
 Rational = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 RationalLike = Union[Fraction, int, str]
 
@@ -112,32 +120,57 @@ def _validate(problem: LpProblem) -> None:
                 raise InputError(f"constraint {row_no} references variable {idx}")
 
 
-def _pivot(rows: list[list[Fraction]], orow: list[Fraction], basis: list[int],
-           r: int, c: int) -> None:
+def _eliminate(row: list[int], prow: list[int], p: int, f: int,
+               d: int) -> list[int]:
+    """One row of a fraction-free pivot; every division by d is exact."""
+    if p == d:
+        # (d*a - f*b) / d = a - f*b/d: only entries under a nonzero move.
+        if not f:
+            return row
+        return [a - f * b // d if b else a for a, b in zip(row, prow)]
+    if not f:
+        return [p * a // d for a in row]
+    return [(p * a - f * b) // d for a, b in zip(row, prow)]
+
+
+def _pivot(rows: list[list[int]], orow: list[int] | None, basis: list[int],
+           d: int, r: int, c: int) -> int:
+    """Bareiss pivot on (r, c); returns the new common denominator.
+
+    With p = rows[r][c], every other row (and the objective row) becomes
+    (p * row - row[c] * rows[r]) / d, the pivot row stays as it is, and p
+    is the new denominator.  The division is exact by Sylvester's identity.
+    A negative p, possible only when an artificial is driven out of the
+    basis, negates the tableau so that the denominator stays positive.
+    """
     prow = rows[r]
-    pv = prow[c]
-    if pv != _ONE:
-        inv = _ONE / pv
-        prow = [x * inv if x else x for x in prow]
-        rows[r] = prow
+    p = prow[c]
     for i, row in enumerate(rows):
-        if i == r:
-            continue
-        f = row[c]
-        if f:
-            rows[i] = [a - f * b if b else a for a, b in zip(row, prow)]
-    f = orow[c]
-    if f:
-        orow[:] = [a - f * b if b else a for a, b in zip(orow, prow)]
+        if i != r:
+            rows[i] = _eliminate(row, prow, p, row[c], d)
+    if orow is not None:
+        orow[:] = _eliminate(orow, prow, p, orow[c], d)
     basis[r] = c
+    if p < 0:
+        for i, row in enumerate(rows):
+            rows[i] = [-a for a in row]
+        if orow is not None:
+            orow[:] = [-a for a in orow]
+        p = -p
+    return p
 
 
 _MAX_PIVOTS = 500_000
 
 
-def _run_simplex(rows: list[list[Fraction]], orow: list[Fraction],
-                 basis: list[int], allowed: list[int]) -> str:
-    """Bland's rule: smallest eligible column, smallest basic index on ties."""
+def _run_simplex(rows: list[list[int]], orow: list[int], basis: list[int],
+                 allowed: list[int], d: int) -> tuple[str, int]:
+    """Bland's rule: smallest eligible column, smallest basic index on ties.
+
+    Returns the outcome and the final common denominator.  All rows share
+    the positive denominator d, so signs and ratios of numerators are those
+    of the rational tableau; ratios are compared by cross-multiplication.
+    """
     for _ in range(_MAX_PIVOTS):
         enter = -1
         for j in allowed:
@@ -145,22 +178,28 @@ def _run_simplex(rows: list[list[Fraction]], orow: list[Fraction],
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return "optimal", d
         leave = -1
-        best: Fraction | None = None
+        best_b = best_a = 0
         for i, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+                b = row[-1]
+                if leave < 0:
+                    best_b, best_a, leave = b, a, i
+                    continue
+                lhs = b * best_a
+                rhs = best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    best_b, best_a, leave = b, a, i
         if leave < 0:
-            return "unbounded"
-        _pivot(rows, orow, basis, leave, enter)
+            return "unbounded", d
+        d = _pivot(rows, orow, basis, d, leave, enter)
     raise RuntimeError("simplex exceeded pivot limit")
+
+
+_FLIPPED = {Relation.LE: Relation.GE, Relation.GE: Relation.LE,
+            Relation.EQ: Relation.EQ}
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -172,28 +211,33 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     n = problem.num_vars
     maximize = problem.sense is Sense.MAX
     obj = [c if maximize else -c for c in problem.objective]
+    obj_scale = lcm(*(c.denominator for c in obj))
+    cost = [c.numerator * (obj_scale // c.denominator) for c in obj]
 
+    # Each row is flipped to a nonnegative right-hand side, then multiplied
+    # by row_scale[i], the LCM of its denominators, so that it is integral.
+    # The slack and artificial columns keep their unit entries.
     m = len(problem.constraints)
-    dense: list[list[Fraction]] = []
+    dense: list[list[int]] = []
     rels: list[Relation] = []
-    rhs: list[Fraction] = []
+    rhs: list[int] = []
     flipped: list[bool] = []
+    row_scale: list[int] = []
     for con in problem.constraints:
-        row = [_ZERO] * n
-        for idx, val in con.coeffs:
-            row[idx] = val
         rel, b = con.relation, con.rhs
+        sign = 1
         if b < 0:
-            row = [-v for v in row]
-            b = -b
-            rel = {Relation.LE: Relation.GE, Relation.GE: Relation.LE,
-                   Relation.EQ: Relation.EQ}[rel]
-            flipped.append(True)
-        else:
-            flipped.append(False)
+            sign = -1
+            rel = _FLIPPED[rel]
+        s = lcm(b.denominator, *(v.denominator for _, v in con.coeffs))
+        row = [0] * n
+        for idx, val in con.coeffs:
+            row[idx] = sign * val.numerator * (s // val.denominator)
         dense.append(row)
         rels.append(rel)
-        rhs.append(b)
+        rhs.append(sign * b.numerator * (s // b.denominator))
+        flipped.append(sign < 0)
+        row_scale.append(s)
 
     # Column layout: decisions, then one slack/surplus per inequality row,
     # then one artificial per >=/= row.  Artificial columns are kept through
@@ -211,17 +255,22 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             art_col[i] = ncols
             ncols += 1
 
-    rows: list[list[Fraction]] = []
+    # The tableau holds integer numerators over one positive denominator d,
+    # the determinant of the current basis.  The starting basis is made of
+    # unit columns, so d starts at 1.
+    rows: list[list[int]] = []
     for i in range(m):
-        row = dense[i] + [_ZERO] * (ncols - n) + [rhs[i]]
+        row = dense[i] + [0] * (ncols - n) + [rhs[i]]
         if slack_col[i] >= 0:
-            row[slack_col[i]] = _ONE if rels[i] is Relation.LE else -_ONE
+            row[slack_col[i]] = 1 if rels[i] is Relation.LE else -1
         if art_col[i] >= 0:
-            row[art_col[i]] = _ONE
+            row[art_col[i]] = 1
         rows.append(row)
+    d = 1
 
-    # Starting basis: slack for <= rows; for >=/= rows prefer a unit decision
-    # column (crash basis), falling back to the artificial.
+    # Starting basis: slack for <= rows; for >=/= rows prefer a decision
+    # column whose only nonzero is an unscaled 1 (crash basis), falling back
+    # to the artificial.
     basis = [-1] * m
     unit_row = [-1] * ncols
     col_hits = [0] * n
@@ -232,7 +281,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     for j in range(n):
         if col_hits[j] == 1:
             for i in range(m):
-                if rows[i][j] == _ONE:
+                if rows[i][j] == row_scale[i]:
                     unit_row[j] = i
                     break
     claimed = [False] * m
@@ -245,6 +294,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         if i >= 0 and not claimed[i]:
             basis[i] = j
             claimed[i] = True
+            if row_scale[i] != 1:
+                d = _pivot(rows, None, basis, d, i, j)
     for i in range(m):
         if not claimed[i]:
             basis[i] = art_col[i]
@@ -252,55 +303,57 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     art_start = ncols - sum(1 for c in art_col if c >= 0)
     allowed = list(range(art_start))
 
-    if any(basis[i] == art_col[i] and art_col[i] >= 0 for i in range(m)):
-        orow1 = [_ZERO] * (ncols + 1)
-        for i in range(m):
-            if basis[i] == art_col[i]:
-                row = rows[i]
-                for j in range(ncols + 1):
-                    if row[j]:
-                        orow1[j] += row[j]
-        for i in range(m):
-            if basis[i] == art_col[i]:
-                orow1[art_col[i]] = _ZERO
-        _run_simplex(rows, orow1, basis, allowed)
+    art_rows = [i for i in range(m) if basis[i] == art_col[i]]
+    if art_rows:
+        # Phase 1 minimizes the sum of the artificials of the unscaled rows:
+        # row i's artificial stands for row_scale[i] of them, so its row is
+        # weighted by art_scale / row_scale[i].
+        art_scale = lcm(*(row_scale[i] for i in art_rows))
+        orow1 = [0] * (ncols + 1)
+        for i in art_rows:
+            w = art_scale // row_scale[i]
+            orow1 = [a + w * v if v else a for a, v in zip(orow1, rows[i])]
+        for i in art_rows:
+            orow1[art_col[i]] = 0
+        _, d = _run_simplex(rows, orow1, basis, allowed, d)
         if orow1[-1] != 0:
             return LpSolution(status=LpStatus.INFEASIBLE)
         # Drive leftover artificials out of the basis where possible; a row
         # with no eligible pivot is redundant and stays inert at zero.
-        for i in range(m):
-            if basis[i] == art_col[i] and art_col[i] >= 0:
+        for i in art_rows:
+            if basis[i] == art_col[i]:
                 for j in allowed:
                     if rows[i][j]:
-                        _pivot(rows, orow1, basis, i, j)
+                        d = _pivot(rows, orow1, basis, d, i, j)
                         break
 
-    orow2 = [_ZERO] * (ncols + 1)
-    orow2[:n] = obj
+    orow2 = [0] * (ncols + 1)
+    orow2[:n] = [d * c for c in cost]
     for i in range(m):
         b = basis[i]
-        cb = obj[b] if b < n else _ZERO
+        cb = cost[b] if b < n else 0
         if cb:
-            row = rows[i]
-            orow2[:] = [a - cb * v if v else a for a, v in zip(orow2, row)]
-    outcome = _run_simplex(rows, orow2, basis, allowed)
+            orow2 = [a - cb * v if v else a for a, v in zip(orow2, rows[i])]
+    outcome, d = _run_simplex(rows, orow2, basis, allowed, d)
     if outcome == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED)
 
-    value = -orow2[-1]
+    # Back to rationals: the numerators over d, the objective row over
+    # d * obj_scale, and each dual times its row's scale.
+    value = Fraction(-orow2[-1], d * obj_scale)
     primal = [_ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
-            primal[b] = rows[i][-1]
+            primal[b] = Fraction(rows[i][-1], d)
 
     dual: list[Fraction] = []
     sense_sign = 1 if maximize else -1
     for i in range(m):
         sig = slack_col[i] if rels[i] is Relation.LE else art_col[i]
-        y = -orow2[sig]
+        y = -orow2[sig] * row_scale[i]
         if flipped[i]:
             y = -y
-        dual.append(y * sense_sign)
+        dual.append(Fraction(y * sense_sign, d * obj_scale))
 
     return LpSolution(
         status=LpStatus.OPTIMAL,

@@ -26,7 +26,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapabilityError, ContractViolationError, InputError
+from .errors import (
+    CapabilityError,
+    CertificateError,
+    ContractViolationError,
+    InputError,
+)
 from .exactnum import (
     LpStatus,
     Relation,
@@ -118,9 +123,15 @@ class SubgraphWeights:
         )
 
 
+def _require_unit_loads(tw: SubgraphWeights, what: str) -> None:
+    for e, load in tw.loads().items():
+        if load != 1:
+            raise ContractViolationError(f"{what}: edge {e} has load {load}")
+
+
 def _certify(prob, sol) -> None:
     if sol.status is not LpStatus.OPTIMAL or not check_certificates(prob, sol):
-        raise RuntimeError("packing LP failed to certify")
+        raise CertificateError("packing LP failed to certify")
 
 
 def tau_star(g: Graph) -> tuple[Fraction, SubgraphWeights]:
@@ -255,11 +266,7 @@ def lift_tilde_to_induced(tw: SubgraphWeights) -> SubgraphWeights:
     total and turns exact unit loads into coverage of at least one.
     """
     g = tw.graph
-    for e, load in tw.loads().items():
-        if load != 1:
-            raise ContractViolationError(
-                f"input is not an exact unit-load solution: edge {e} has load {load}"
-            )
+    _require_unit_loads(tw, "input is not an exact unit-load solution")
     out: dict[SubgraphDescriptor, Fraction] = {}
     for desc, w in tw.weights.items():
         target = induced_descriptor(g, desc.vertices)
@@ -367,8 +374,9 @@ def redistribute_excess(tw: SubgraphWeights) -> SubgraphWeights:
             loads[second] -= eps
 
     result = SubgraphWeights(g, weights)
-    assert result.total() == tw.total()
-    assert all(v == 1 for v in result.loads().values())
+    if result.total() != tw.total():
+        raise ContractViolationError("excess redistribution changed the total")
+    _require_unit_loads(result, "excess redistribution left a load off one")
     return result
 
 
@@ -450,7 +458,7 @@ def packing_to_cover(gs: SubgraphWeights, g: Graph) -> SubgraphWeights:
         deficiency[e] = _ZERO
 
     result = SubgraphWeights(g, weights)
-    assert all(v == 1 for v in result.loads().values())
+    _require_unit_loads(result, "packing-to-cover growth left a load off one")
     return result
 
 
@@ -458,11 +466,7 @@ def cover_to_packing(ts: SubgraphWeights, g: Graph) -> SubgraphWeights:
     """Restrict an exact unit-load cover to its triangles: a valid packing."""
     if ts.graph != g:
         raise InputError("weights are not over the given graph")
-    for e, load in ts.loads().items():
-        if load != 1:
-            raise ContractViolationError(
-                f"input is not an exact unit-load solution: edge {e} has load {load}"
-            )
+    _require_unit_loads(ts, "input is not an exact unit-load solution")
     return ts.restricted_to_triangles()
 
 

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, CertificateError, InputError
 from .exactnum import (
     LpStatus,
     Relation,
@@ -100,7 +100,7 @@ class WramResult:
     def __post_init__(self):
         pairs = Fraction(self.n * (self.n - 1), 2)
         if self.value * self.r_value != pairs:
-            raise InputError("wram value times r value must equal C(n,2)")
+            raise CertificateError("wram value times r value must equal C(n,2)")
 
 
 def build_constraints(c: TwoColoring, k: int) -> MonoConstraintSet:
@@ -133,7 +133,7 @@ def r_of_coloring(c: TwoColoring, k: int) -> tuple[Fraction, WeightAssignment]:
     prob = lp_problem(len(edge_pos), [1] * len(edge_pos), Sense.MAX, lp_cons)
     sol = solve_lp(prob)
     if sol.status is not LpStatus.OPTIMAL or not check_certificates(prob, sol):
-        raise RuntimeError("weight LP failed to certify")
+        raise CertificateError("weight LP failed to certify")
     weights = WeightAssignment(
         n, {e: sol.primal[i] for e, i in edge_pos.items()}
     )

@@ -1,7 +1,11 @@
 """Closed-form bound machinery and the two constructive certificates."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -239,3 +243,26 @@ def test_verify_weighting_flags_violations():
     heavy = WeightAssignment(4, {e: F(1) for e in itertools.combinations(range(4), 2)})
     with pytest.raises(CertificateError):
         verify_weighting(c, 3, heavy)
+
+
+_FORCED_TOTAL_MISMATCH = """
+import wramsey.bounds as bounds
+from wramsey.errors import CertificateError
+assert False, "assert statements must be stripped under -O"
+bounds.bipartite_total_weight = lambda n: 0
+try:
+    bounds.construction_k4(6)
+except CertificateError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_construction_total_check_survives_optimize_flag():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _FORCED_TOTAL_MISMATCH],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: bipartite weighting totals")

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from wramsey import packing, weighted_ramsey
 from wramsey.cli import (
     format_decimal,
     format_rational,
@@ -125,6 +126,21 @@ def test_packing_parse_error(capsys, tmp_path):
     bad.write_text("oops\n")
     code, _, err = run_cli(capsys, "--stable", "packing", "--graph", str(bad))
     assert code == 2
+
+
+def test_failed_certificate_exits_4(capsys, monkeypatch, k4_graph_file):
+    monkeypatch.setattr(packing, "check_certificates", lambda prob, sol: False)
+    monkeypatch.setattr(weighted_ramsey, "check_certificates", lambda prob, sol: False)
+    code, out, err = run_cli(
+        capsys, "--stable", "packing", "--graph", k4_graph_file, "--stat", "taustar"
+    )
+    assert (code, out) == (4, "")
+    assert "packing LP failed to certify" in err
+    code, out, err = run_cli(
+        capsys, "--stable", "--jobs", "1", "wram", "--n", "4", "--k", "3", "--exhaustive"
+    )
+    assert (code, out) == (4, "")
+    assert "weight LP failed to certify" in err
 
 
 def test_bounds_tables_row_counts(capsys):

@@ -5,7 +5,11 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from wramsey import packing, weighted_ramsey
 from wramsey.errors import InputError
 from wramsey.exactnum import (
     LpSolution,
@@ -17,6 +21,7 @@ from wramsey.exactnum import (
     lp_problem,
     solve_lp,
 )
+from wramsey.graphs import Graph, TwoColoring
 
 
 def test_single_binding_constraint():
@@ -179,3 +184,156 @@ def test_deterministic_resolve():
     for _ in range(25):
         prob = _random_problem(rng)
         assert solve_lp(prob) == solve_lp(prob)
+
+
+_SMALL_RATIONALS = st.builds(
+    F, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3, 4, 6])
+)
+
+
+@st.composite
+def _small_lps(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 5))
+    integral = draw(st.booleans())
+    value = st.integers(-4, 4).map(F) if integral else _SMALL_RATIONALS
+    cons = [
+        constraint(
+            {j: draw(value) for j in range(n)},
+            draw(st.sampled_from(list(Relation))),
+            draw(value),
+        )
+        for _ in range(m)
+    ]
+    objective = [draw(value) for _ in range(n)]
+    return lp_problem(n, objective, draw(st.sampled_from(list(Sense))), cons)
+
+
+def _highs(prob):
+    """The same LP in floating point through SciPy's HiGHS solver."""
+    sign = -1.0 if prob.sense is Sense.MAX else 1.0
+    c = [sign * float(v) for v in prob.objective]
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for con in prob.constraints:
+        row = [0.0] * prob.num_vars
+        for idx, val in con.coeffs:
+            row[idx] = float(val)
+        if con.relation is Relation.LE:
+            a_ub.append(row)
+            b_ub.append(float(con.rhs))
+        elif con.relation is Relation.GE:
+            a_ub.append([-v for v in row])
+            b_ub.append(-float(con.rhs))
+        else:
+            a_eq.append(row)
+            b_eq.append(float(con.rhs))
+    res = linprog(
+        c,
+        A_ub=a_ub or None, b_ub=b_ub or None,
+        A_eq=a_eq or None, b_eq=b_eq or None,
+        bounds=(0, None), method="highs",
+    )
+    status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+    return status[res.status], (sign * res.fun if res.status == 0 else None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_lps())
+def test_random_lps_certify_and_agree_with_highs(prob):
+    sol = solve_lp(prob)
+    status, optimum = _highs(prob)
+    assert sol.status is status
+    if sol.status is LpStatus.OPTIMAL:
+        assert check_certificates(prob, sol)
+        assert abs(float(sol.optimum) - optimum) <= 1e-9 * max(1.0, abs(optimum))
+
+
+def _capture_lp(monkeypatch, module):
+    """Record the last (problem, solution) pair the module solves."""
+    seen = []
+
+    def recording_solve(prob):
+        sol = solve_lp(prob)
+        seen.append((prob, sol))
+        return sol
+
+    monkeypatch.setattr(module, "solve_lp", recording_solve)
+    return seen
+
+
+def _nonzero(values):
+    return {i: str(v) for i, v in enumerate(values) if v}
+
+
+# A dense graph on 8 vertices with 23 edges.
+_DENSE_8 = Graph(8, 259514301)
+
+
+def test_pinned_witness_r_tilde_dense_8(monkeypatch):
+    seen = _capture_lp(monkeypatch, packing)
+    value, _ = packing.r_tilde(_DENSE_8)
+    prob, sol = seen[-1]
+    assert (prob.num_vars, len(prob.constraints)) == (278, 23)
+    assert value == sol.optimum == F(23, 3)
+    assert _nonzero(sol.primal) == {
+        9: "1/2", 16: "1/3", 30: "1/6", 51: "1/6", 61: "1/3", 71: "1/2",
+        84: "1/2", 100: "2/3", 107: "1/6", 121: "1/6", 138: "1/2",
+        169: "1/6", 176: "2/3", 183: "1/6", 200: "1/3", 217: "1/3",
+        224: "1/6", 231: "2/3", 244: "5/6", 257: "1/6", 267: "1/6",
+    }
+    assert sol.dual == (F(1, 3),) * 23
+
+
+def test_pinned_witness_r_induced_dense_8(monkeypatch):
+    seen = _capture_lp(monkeypatch, packing)
+    value, _ = packing.r_induced(_DENSE_8)
+    prob, sol = seen[-1]
+    assert (prob.num_vars, len(prob.constraints)) == (56, 23)
+    assert value == sol.optimum == F(23, 3)
+    assert _nonzero(sol.primal) == {
+        1: "1/2", 2: "1/3", 4: "1/6", 11: "1/6", 13: "1/3", 15: "1/2",
+        18: "1/2", 22: "2/3", 23: "1/6", 25: "1/6", 28: "1/2", 33: "1/6",
+        34: "2/3", 35: "1/6", 40: "1/3", 43: "1/3", 44: "1/6", 45: "2/3",
+        48: "5/6", 51: "1/6", 53: "1/6",
+    }
+    assert sol.dual == (F(1, 3),) * 23
+
+
+def test_pinned_witness_weight_lp_k7_class_k4(monkeypatch):
+    # The class representative at index 261 of enumerate_colorings(7).
+    seen = _capture_lp(monkeypatch, weighted_ramsey)
+    value, _ = weighted_ramsey.r_of_coloring(TwoColoring(Graph(7, 7090)), 4)
+    prob, sol = seen[-1]
+    assert (prob.num_vars, len(prob.constraints)) == (21, 69)
+    assert value == sol.optimum == F(157, 30)
+    assert [str(v) for v in sol.primal] == [
+        "1/3", "2/5", "1/6", "1/3", "1/5", "2/5", "1/3", "1/5", "2/5", "2/5",
+        "1/6", "1/5", "1/5", "1/3", "1/6", "0", "1/6", "1/3", "1/3", "1/6",
+        "0",
+    ]
+    assert _nonzero(sol.dual) == {
+        4: "2/5", 5: "1/3", 7: "1/3", 13: "1/6", 17: "1/6", 18: "2/5",
+        24: "1/5", 28: "1/5", 30: "1/5", 33: "1/2", 35: "1/3", 40: "4/5",
+        51: "1/3", 52: "1/5", 65: "1/6", 67: "1/6", 68: "1/3",
+    }
+
+
+def test_rational_rows_keep_the_rational_pivot_path():
+    # Both programs have more than one optimal vertex, so the witness shows
+    # which pivots were taken.  x0 enters the crash basis because its
+    # coefficient in the row is 1 before the row is scaled to integers.
+    prob = lp_problem(4, [1, F(1, 4), F(3, 5), F(1, 3)], Sense.MIN, [
+        constraint({0: 1, 3: F(1, 3)}, Relation.EQ, 2),
+    ])
+    sol = solve_lp(prob)
+    assert (sol.optimum, sol.primal, sol.dual) == (2, (2, 0, 0, 0), (1,))
+    # Phase 1 sums the artificials of the unscaled rows, whatever scale the
+    # >= row is given.
+    prob = lp_problem(4, [F(-2, 3), 0, F(-1, 4), F(-1, 5)], Sense.MAX, [
+        constraint({1: 1, 2: -1, 3: 1}, Relation.EQ, 2),
+        constraint({1: -2, 2: 1, 3: F(1, 2)}, Relation.GE, 1),
+    ])
+    sol = solve_lp(prob)
+    assert sol.optimum == F(-2, 5)
+    assert sol.primal == (0, 0, 0, 2)
+    assert sol.dual == (F(-1, 20), F(-3, 10))

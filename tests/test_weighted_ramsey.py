@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from wramsey.errors import CapabilityError, InputError
+from wramsey.errors import CapabilityError, CertificateError, InputError
 from wramsey.graphs import (
     TwoColoring,
     balanced_blowup,
@@ -17,6 +17,7 @@ from wramsey.packing import r_induced
 from wramsey.weighted_ramsey import (
     Color,
     WeightAssignment,
+    WramResult,
     build_constraints,
     check_monotonicity,
     r_of_coloring,
@@ -212,3 +213,13 @@ def test_jobs_env_fallback(monkeypatch):
         default_jobs()
     monkeypatch.delenv("WRAMSEY_JOBS")
     assert default_jobs() >= 1
+
+
+def test_inconsistent_wram_result_is_a_certificate_failure():
+    res = wram(5, 3)
+    with pytest.raises(CertificateError):
+        WramResult(
+            n=5, k=3, value=res.value, r_value=res.r_value + 1,
+            witness_coloring=res.witness_coloring,
+            witness_weights=res.witness_weights,
+        )
