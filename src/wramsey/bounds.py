@@ -22,6 +22,7 @@ from .graphs import (
     TwoColoring,
     all_edges,
     balanced_blowup,
+    blowup_part_of,
     mono_triangle_free_k5,
     turan_number,
 )
@@ -230,11 +231,7 @@ def construction_blowup(
     if n < max(5, k):
         raise InputError(f"need n >= max(5, k) = {max(5, k)}, got {n}")
     coloring = balanced_blowup(mono_triangle_free_k5(), n)
-    q, r = divmod(n, 5)
-    sizes = [q + 1] * r + [q] * (5 - r)
-    part_of = []
-    for p, s in enumerate(sizes):
-        part_of.extend([p] * s)
+    part_of = blowup_part_of(5, n)
     unit = Fraction(1, k * k // 4)
     weights = WeightAssignment(
         n,

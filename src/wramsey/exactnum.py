@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .errors import InputError
+from .errors import CapabilityError, InputError
 
 Rational = Fraction
 
@@ -195,7 +195,7 @@ def _run_simplex(rows: list[list[int]], orow: list[int], basis: list[int],
         if leave < 0:
             return "unbounded", d
         d = _pivot(rows, orow, basis, d, leave, enter)
-    raise RuntimeError("simplex exceeded pivot limit")
+    raise CapabilityError(f"simplex exceeded the pivot limit of {_MAX_PIVOTS}")
 
 
 _FLIPPED = {Relation.LE: Relation.GE, Relation.GE: Relation.LE,

@@ -5,9 +5,10 @@ single Python int bitmask.  Edges are indexed lexicographically: (0,1),
 (0,2), ..., (0,n-1), (1,2), ...  A TwoColoring is stored through its red
 graph; the blue graph is the complement inside K_n.
 
-Canonicalization is the exhaustive kind: minimum of the red-edge bitmask
-over all vertex permutations and both color orientations.  That is only
-viable for n <= 9, which covers everything this package computes.
+The canonical form is the minimum red-edge bitmask over all vertex
+relabelings and both color orientations, found label by label from the top
+bits (n <= 9, as the key stores it in 5 bytes).  Class representatives come
+from orderly generation, which grows them one vertex at a time.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import CapabilityError, InputError
 
@@ -138,50 +137,97 @@ class TwoColoring:
 CanonicalKey = bytes
 
 
-@lru_cache(maxsize=8)
-def _perm_bit_images(n: int) -> list[list[int]]:
-    """For each permutation of [n], the bit value each edge index maps to."""
-    edges = all_edges(n)
-    images = []
-    for perm in itertools.permutations(range(n)):
-        images.append([1 << edge_index(n, perm[u], perm[v]) for u, v in edges])
-    return images
+def _canonical_mask(n: int, mask: int, stop_early: bool = False) -> int:
+    """Minimum red mask over all relabelings and both color orientations.
 
+    Labels are placed from n-1 down to 0.  Placing label j fixes the bits
+    (j, j+1..n-1), the next most significant block, whose value is the
+    chosen vertex's adjacency to the labels already placed, label n-1 the
+    top bit.  Every partial labeling that ties on the smallest prefix is
+    kept, once per distinct future.  With ``stop_early`` the search returns
+    a value below ``mask`` as soon as some prefix falls below mask's own.
+    """
+    everyone = (1 << n) - 1
+    red = [0] * n
+    for i, (u, v) in enumerate(all_edges(n)):
+        if mask >> i & 1:
+            red[u] |= 1 << v
+            red[v] |= 1 << u
+    orientations = (red, [everyone ^ (1 << v) ^ red[v] for v in range(n)])
 
-@lru_cache(maxsize=4)
-def _perm_bit_matrix(n: int) -> np.ndarray:
-    """Same mapping as a (n!, #edges) int64 matrix, built without a perm loop."""
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    cols = []
-    for u, v in all_edges(n):
-        tu, tv = perms[:, u], perms[:, v]
-        lo, hi = np.minimum(tu, tv), np.maximum(tu, tv)
-        idx = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
-        cols.append((np.int64(1) << idx))
-    return np.stack(cols, axis=1)
+    # While the placed vertices are pairwise non-adjacent, every order of
+    # them gives all-zero blocks, so the top labels go to an independent set
+    # kept as one unordered cell.  A set only grows by vertices above its
+    # largest, so each is reached once; the last level holds the largest.
+    level = [(0, 0, 0), (1, 0, 0)]  # (orientation, cell, cell | neighbours)
+    j = n  # the cell holds labels j..n-1
+    while True:
+        grown = []
+        for side, cell, closed in level:
+            rows = orientations[side]
+            top = cell.bit_length()
+            free = everyone >> top << top & ~closed
+            while free:
+                bit = free & -free
+                free ^= bit
+                grown.append((side, cell | bit, closed | bit | rows[bit.bit_length() - 1]))
+        if not grown:
+            break
+        level = grown
+        j -= 1
+        if stop_early and mask >> (j * (2 * n - j - 1) // 2):
+            return 0
 
-
-def _canonical_mask(n: int, mask: int) -> int:
-    full = (1 << (n * (n - 1) // 2)) - 1
-    bits = [i for i in range(n * (n - 1) // 2) if mask >> i & 1]
-    if n <= 6:
-        best = full
-        for image in _perm_bit_images(n):
-            img = 0
-            for i in bits:
-                img |= image[i]
-            img2 = full ^ img
-            if img2 < img:
-                img = img2
-            if img < best:
-                best = img
-        return best
-    bit_matrix = _perm_bit_matrix(n)
-    images = np.zeros(bit_matrix.shape[0], dtype=np.int64)
-    for i in bits:
-        images |= bit_matrix[:, i]
-    swapped = np.int64(full) ^ images
-    return int(min(images.min(initial=full), swapped.min(initial=full)))
+    # A state is (orientation, codes, cells).  codes[v] is -1 once v is
+    # placed, else the bits of the singly placed labels adjacent to v.  A
+    # cell (lowest label, members) is a run of labels whose order among its
+    # members is still free: a vertex's neighbours in it take its lowest
+    # labels, and placing that vertex splits the cell at that point.
+    states = {
+        (side, tuple(-(cell >> v & 1) for v in range(n)), ((j, cell),))
+        for side, cell, _ in level
+    }
+    prefix = 0
+    for j in range(j - 1, -1, -1):
+        best = -1
+        for state in states:
+            side, codes, cells = state
+            rows = orientations[side]
+            for v in range(n):
+                code = codes[v]
+                if code < 0:
+                    continue
+                for lo, members in cells:
+                    code |= ((1 << (members & rows[v]).bit_count()) - 1) << lo
+                if code < best or best < 0:
+                    best, ties = code, [(state, v)]
+                elif code == best:
+                    ties.append((state, v))
+        offset = j * (2 * n - j - 1) // 2
+        prefix |= best >> (j + 1) << offset
+        if stop_early and prefix >> offset < mask >> offset:
+            return prefix
+        states = set()
+        for (side, codes, cells), v in ties:
+            rows = orientations[side]
+            codes = list(codes)
+            codes[v] = -1
+            singles = [(j, 1 << v)]
+            split = []
+            for lo, members in cells:
+                near = members & rows[v]
+                for low, part in ((lo, near), (lo + near.bit_count(), members ^ near)):
+                    if part & (part - 1):
+                        split.append((low, part))
+                    elif part:
+                        singles.append((low, part))
+            for u in range(n):
+                if codes[u] >= 0:
+                    for label, bit in singles:
+                        if rows[u] & bit:
+                            codes[u] |= 1 << label
+            states.add((side, tuple(codes), tuple(split)))
+    return prefix
 
 
 def canonical_key(coloring: TwoColoring) -> CanonicalKey:
@@ -189,57 +235,30 @@ def canonical_key(coloring: TwoColoring) -> CanonicalKey:
     n = coloring.n
     if n > _CANONICAL_CAP:
         raise CapabilityError(
-            f"canonical_key uses exhaustive permutation search, capped at n={_CANONICAL_CAP}"
+            f"canonical_key stores the mask in 5 bytes, capped at n={_CANONICAL_CAP}"
         )
     best = _canonical_mask(n, coloring.red.mask)
     return bytes([n]) + best.to_bytes(5, "big")
 
 
-_coloring_class_cache: dict[int, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _class_masks(n: int) -> tuple[int, ...]:
-    if n in _coloring_class_cache:
-        return _coloring_class_cache[n]
-    num_pairs = n * (n - 1) // 2
-    full = (1 << num_pairs) - 1
-    if n <= 6:
-        images = _perm_bit_images(n)
-        seen = bytearray(1 << num_pairs)
-        reps = []
-        for mask in range(1 << num_pairs):
-            if seen[mask]:
-                continue
-            reps.append(mask)
-            bits = [i for i in range(num_pairs) if mask >> i & 1]
-            for image in images:
-                img = 0
-                for i in bits:
-                    img |= image[i]
-                seen[img] = 1
-                seen[full ^ img] = 1
-    else:
-        # Grow each class on n-1 vertices by every attachment of a new last
-        # vertex, then canonicalize.  Edge indices of the smaller K line up
-        # with a prefix of the larger one only per-row, so remap explicitly.
-        smaller = _class_masks(n - 1)
-        remap = [edge_index(n, u, v) for u, v in all_edges(n - 1)]
-        found = set()
-        for small_mask in smaller:
-            base = 0
-            for i, j in enumerate(remap):
-                if small_mask >> i & 1:
-                    base |= 1 << j
-            for pattern in range(1 << (n - 1)):
-                mask = base
-                for u in range(n - 1):
-                    if pattern >> u & 1:
-                        mask |= 1 << edge_index(n, u, n - 1)
-                found.add(_canonical_mask(n, mask))
-        reps = sorted(found)
-    result = tuple(reps)
-    _coloring_class_cache[n] = result
-    return result
+    """Minimal red masks of the coloring classes of K_n, ascending.
+
+    Orderly generation: dropping label 0 from a mask M leaves the mask of
+    the other labels, in (n-1)-vertex indexing, as M >> (n-1), and a
+    relabeling that lowered it would lower M.  So every minimal mask on n
+    vertices is a minimal one on n-1 vertices shifted up, plus the n-1 bits
+    of label 0.
+    """
+    if n == 2:
+        return (0,)
+    return tuple(
+        mask
+        for top in _class_masks(n - 1)
+        for mask in range(top << (n - 1), (top + 1) << (n - 1))
+        if _canonical_mask(n, mask, stop_early=True) == mask
+    )
 
 
 def enumerate_colorings(n: int) -> list[TwoColoring]:
@@ -254,11 +273,6 @@ def enumerate_colorings(n: int) -> list[TwoColoring]:
             f"exhaustive coloring enumeration supports 3 <= n <= {_ENUMERATION_CAP}"
         )
     return [TwoColoring(Graph(n, mask)) for mask in _class_masks(n)]
-
-
-def _part_sizes(n: int, parts: int) -> list[int]:
-    q, r = divmod(n, parts)
-    return [q + 1] * r + [q] * (parts - r)
 
 
 def turan_number(k: int, i: int) -> int:
@@ -277,10 +291,7 @@ def turan_graph(n: int, i: int) -> Graph:
     """Complete i-partite graph on n vertices with near-equal parts."""
     if not 1 <= i <= n:
         raise InputError(f"turan_graph requires 1 <= i <= n, got i={i}, n={n}")
-    sizes = _part_sizes(n, i)
-    part_of = []
-    for p, s in enumerate(sizes):
-        part_of.extend([p] * s)
+    part_of = blowup_part_of(i, n)
     edges = [
         (u, v) for u, v in itertools.combinations(range(n), 2)
         if part_of[u] != part_of[v]
@@ -298,10 +309,7 @@ def balanced_blowup(base: TwoColoring, n: int) -> TwoColoring:
     m = base.n
     if n < m:
         raise InputError(f"blow-up target n={n} smaller than base size {m}")
-    sizes = _part_sizes(n, m)
-    part_of = []
-    for p, s in enumerate(sizes):
-        part_of.extend([p] * s)
+    part_of = blowup_part_of(m, n)
     red_edges = []
     for u, v in itertools.combinations(range(n), 2):
         pu, pv = part_of[u], part_of[v]
@@ -311,8 +319,14 @@ def balanced_blowup(base: TwoColoring, n: int) -> TwoColoring:
 
 
 def blowup_part_sizes(base_n: int, n: int) -> list[int]:
-    """Part sizes used by :func:`balanced_blowup` (exposed for checks)."""
-    return _part_sizes(n, base_n)
+    """Near-equal part sizes of :func:`balanced_blowup`, larger parts first."""
+    q, r = divmod(n, base_n)
+    return [q + 1] * r + [q] * (base_n - r)
+
+
+def blowup_part_of(base_n: int, n: int) -> list[int]:
+    """Base vertex of each of the n vertices in :func:`balanced_blowup`."""
+    return [p for p, size in enumerate(blowup_part_sizes(base_n, n)) for _ in range(size)]
 
 
 def mono_triangle_free_k5() -> TwoColoring:
@@ -364,22 +378,15 @@ def format_coloring(c: TwoColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_coloring_lines(lines: list[str]) -> TwoColoring:
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "n":
-        raise InputError(f"bad coloring header: {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError as exc:
-        raise InputError(f"bad vertex count: {head[1]!r}") from exc
+def _parse_coloring_lines(n: int, lines: list[str]) -> TwoColoring:
     expected = n * (n - 1) // 2
-    if len(lines) - 1 != expected:
+    if len(lines) != expected:
         raise InputError(
-            f"coloring for n={n} needs {expected} edge lines, got {len(lines) - 1}"
+            f"coloring for n={n} needs {expected} edge lines, got {len(lines)}"
         )
     seen = set()
     red = []
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 3 or parts[2] not in ("R", "B"):
             raise InputError(f"bad coloring line: {ln!r}")
@@ -393,15 +400,12 @@ def _parse_coloring_lines(lines: list[str]) -> TwoColoring:
         seen.add(key)
         if parts[2] == "R":
             red.append(key)
-    if len(seen) != expected:
+    if seen != set(all_edges(n)):
         raise InputError("coloring does not cover every edge of K_n")
     return TwoColoring.from_red_edges(n, red)
 
 
 def parse_coloring(text: str) -> TwoColoring:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise InputError("empty coloring text")
     colorings = parse_colorings(text)
     if len(colorings) != 1:
         raise InputError(f"expected one coloring record, found {len(colorings)}")
@@ -423,7 +427,7 @@ def parse_colorings(text: str) -> list[TwoColoring]:
             n = int(head[1])
         except ValueError as exc:
             raise InputError(f"bad vertex count: {head[1]!r}") from exc
-        span = 1 + n * (n - 1) // 2
-        records.append(_parse_coloring_lines(lines[pos:pos + span]))
-        pos += span
+        end = pos + 1 + n * (n - 1) // 2
+        records.append(_parse_coloring_lines(n, lines[pos + 1:end]))
+        pos = end
     return records

@@ -331,7 +331,7 @@ def redistribute_excess(tw: SubgraphWeights) -> SubgraphWeights:
     while True:
         guard += 1
         if guard > 100_000:
-            raise RuntimeError("excess redistribution failed to terminate")
+            raise ContractViolationError("excess redistribution failed to terminate")
         over = [e for e, v in loads.items() if v > 1]
         if not over:
             break

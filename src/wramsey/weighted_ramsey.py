@@ -180,6 +180,17 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _wram_result(colorings: list[TwoColoring], k: int, jobs: int | None,
+                 partial: bool) -> WramResult:
+    n = colorings[0].n
+    r_value, witness, weights = _best_over(colorings, k, jobs)
+    return WramResult(
+        n=n, k=k, value=Fraction(n * (n - 1), 2) / r_value, r_value=r_value,
+        witness_coloring=witness, witness_weights=weights,
+        partial=partial, num_colorings=len(colorings),
+    )
+
+
 def wram(n: int, k: int, jobs: int | None = None) -> WramResult:
     """Exhaustive wram(n, k): max of r over one coloring per class.
 
@@ -192,14 +203,7 @@ def wram(n: int, k: int, jobs: int | None = None) -> WramResult:
         raise CapabilityError(
             "exhaustive search is capped at n=8; use wram_for_colorings"
         )
-    colorings = enumerate_colorings(n)
-    r_value, witness, weights = _best_over(colorings, k, jobs)
-    pairs = Fraction(n * (n - 1), 2)
-    return WramResult(
-        n=n, k=k, value=pairs / r_value, r_value=r_value,
-        witness_coloring=witness, witness_weights=weights,
-        partial=False, num_colorings=len(colorings),
-    )
+    return _wram_result(enumerate_colorings(n), k, jobs, partial=False)
 
 
 def wram_for_colorings(colorings: list[TwoColoring], k: int,
@@ -216,13 +220,7 @@ def wram_for_colorings(colorings: list[TwoColoring], k: int,
         raise InputError("all colorings must share the same vertex count")
     if not 3 <= k <= n:
         raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
-    r_value, witness, weights = _best_over(colorings, k, jobs)
-    pairs = Fraction(n * (n - 1), 2)
-    return WramResult(
-        n=n, k=k, value=pairs / r_value, r_value=r_value,
-        witness_coloring=witness, witness_weights=weights,
-        partial=True, num_colorings=len(colorings),
-    )
+    return _wram_result(colorings, k, jobs, partial=True)
 
 
 def check_monotonicity(k: int, n_max: int, jobs: int | None = None) -> bool:

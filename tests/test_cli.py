@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from wramsey import packing, weighted_ramsey
+from wramsey import exactnum, packing, weighted_ramsey
 from wramsey.cli import (
     format_decimal,
     format_rational,
@@ -141,6 +141,16 @@ def test_failed_certificate_exits_4(capsys, monkeypatch, k4_graph_file):
     )
     assert (code, out) == (4, "")
     assert "weight LP failed to certify" in err
+
+
+def test_pivot_limit_exits_3(capsys, monkeypatch, k4_graph_file):
+    monkeypatch.setattr(exactnum, "_MAX_PIVOTS", 0)
+    code, out, err = run_cli(
+        capsys, "--stable", "packing", "--graph", k4_graph_file, "--stat", "taustar"
+    )
+    assert (code, out) == (3, "")
+    assert "pivot limit" in err
+    assert "Traceback" not in err
 
 
 def test_bounds_tables_row_counts(capsys):

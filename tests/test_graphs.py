@@ -1,10 +1,18 @@
 """Graphs, colorings, canonical forms, Turán machinery."""
 
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wramsey.errors import CapabilityError, InputError
 from wramsey.graphs import (
@@ -178,23 +186,65 @@ def test_canonical_key_capability_limit():
         canonical_key(TwoColoring(Graph.empty(10)))
 
 
-def _brute_force_class_count(n: int) -> int:
-    num_pairs = n * (n - 1) // 2
-    full = (1 << num_pairs) - 1
+def _brute_force_min_mask(n: int, mask: int) -> int:
+    full = (1 << (n * (n - 1) // 2)) - 1
     edges = list(all_edges(n))
     edge_pos = {e: i for i, e in enumerate(edges)}
-    reps = set()
-    for mask in range(1 << num_pairs):
-        best = full
-        for perm in itertools.permutations(range(n)):
-            img = 0
-            for i, (u, v) in enumerate(edges):
-                if mask >> i & 1:
-                    a, b = sorted((perm[u], perm[v]))
-                    img |= 1 << edge_pos[(a, b)]
-            best = min(best, img, full ^ img)
-        reps.add(best)
-    return len(reps)
+    best = full
+    for perm in itertools.permutations(range(n)):
+        img = 0
+        for i, (u, v) in enumerate(edges):
+            if mask >> i & 1:
+                a, b = sorted((perm[u], perm[v]))
+                img |= 1 << edge_pos[(a, b)]
+        best = min(best, img, full ^ img)
+    return best
+
+
+def _brute_force_class_count(n: int) -> int:
+    return len({_brute_force_min_mask(n, m) for m in range(1 << (n * (n - 1) // 2))})
+
+
+def test_canonical_key_is_the_brute_force_minimum():
+    rng = random.Random(31)
+    for n, count in ((6, 20), (7, 6)):
+        for _ in range(count):
+            mask = rng.getrandbits(n * (n - 1) // 2)
+            key = canonical_key(TwoColoring(Graph(n, mask)))
+            assert int.from_bytes(key[1:], "big") == _brute_force_min_mask(n, mask)
+
+
+def _nx_graph(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+@st.composite
+def _coloring_pairs(draw):
+    """A coloring and a relabeled, maybe swapped copy, maybe with one edge flipped."""
+    n = draw(st.integers(4, 8))
+    pairs = n * (n - 1) // 2
+    first = TwoColoring(Graph(n, draw(st.integers(0, (1 << pairs) - 1))))
+    perm = draw(st.permutations(range(n)))
+    red = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in first.red.edges()])
+    if draw(st.booleans()):
+        red = red.complement()
+    flip = draw(st.none() | st.integers(0, pairs - 1))
+    if flip is not None:
+        red = Graph(n, red.mask ^ 1 << flip)
+    return first, TwoColoring(red)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_coloring_pairs())
+def test_canonical_key_matches_networkx_isomorphism(pair):
+    a, b = pair
+    red = _nx_graph(a.red)
+    same_class = (nx.is_isomorphic(red, _nx_graph(b.red))
+                  or nx.is_isomorphic(red, _nx_graph(b.blue)))
+    assert (canonical_key(a) == canonical_key(b)) == same_class
 
 
 def test_enumeration_class_counts():
@@ -213,6 +263,34 @@ def test_enumeration_representatives_are_canonical():
             key = canonical_key(c)
             mask = int.from_bytes(key[1:], "big")
             assert mask == c.red.mask
+
+
+# Class count and sha256 of the comma-joined representative masks, recorded
+# with the earlier canonicalizer that tried every vertex permutation.
+PINNED_ENUMERATIONS = {
+    3: (2, "83b97b859aa5f81b2f0f86ba2a675efaf515ad2d5e2b8652cf2de7e1c2267350"),
+    4: (6, "6fd349e4b7e877ad4a31d3a10b870d79cde85c0ac82ba5480c130352c6bd08cc"),
+    5: (18, "150efd2e7cb1f5d00d23eb85f62fa86bb4f265602a40a02f566513556ec4a470"),
+    6: (78, "04322337a4fcbafa7f6d6f5ef863da43d1fb16b68b763b515b258e0244c63d05"),
+    7: (522, "8e1715d90da543e1bcc2df120bfb463a1da40863e3903c588a6cf7f6c86fefd4"),
+    8: (6178, "052ea08375863d20b56b482def8f7d155a1aeff4835a31cfd5f8177afb8c7d9f"),
+}
+
+
+def test_enumeration_matches_pinned_digests():
+    for n, (count, digest) in PINNED_ENUMERATIONS.items():
+        masks = [c.red.mask for c in enumerate_colorings(n)]
+        assert len(masks) == count
+        assert hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest() == digest
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, wramsey; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_enumeration_capability_limits():
@@ -241,6 +319,10 @@ def test_coloring_text_roundtrip():
     lines = format_coloring(c).strip().splitlines()
     with pytest.raises(InputError):
         parse_coloring("\n".join(lines[:-1]))
+    # So is an edge outside K_n in place of a missing one, in either color.
+    for bad in ("0 9 B", "0 9 R"):
+        with pytest.raises(InputError):
+            parse_coloring("\n".join(lines[:-1] + [bad]))
 
 
 def test_graph_validation():
