@@ -4,7 +4,9 @@ The lower-bound side combines exact Turán numbers with tabled upper bounds
 on diagonal Ramsey numbers into a density coefficient c(k); 1/c(k) bounds
 the limit from below.  The upper-bound side is constructive: two explicit
 colored weightings whose feasibility this module verifies k-subset by
-k-subset.
+k-subset, in integers: the weights are scaled to numerators over one
+common denominator and each subset's red and blue loads are built up
+vertex by vertex along a depth-first lexicographic walk.
 
 Decimal constants from the large-k closed form are stored as exact
 rationals with their printed digits; comparisons against published table
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import CertificateError, InputError
 from .graphs import (
@@ -26,7 +29,7 @@ from .graphs import (
     mono_triangle_free_k5,
     turan_number,
 )
-from .weighted_ramsey import WeightAssignment, build_constraints
+from .weighted_ramsey import WeightAssignment
 
 _RAMSEY_UPPER = {3: 5, 4: 17, 5: 48, 6: 164, 7: 539, 8: 1869}
 
@@ -155,19 +158,60 @@ def bounds_report(k: int) -> BoundsReport:
 def verify_weighting(c: TwoColoring, k: int, w: WeightAssignment) -> None:
     """Check every (k-subset, color) weight sum stays at most 1.
 
-    Exhaustive over the monochromatic constraint set; ``Graph`` caps n at
-    16, where there are at most C(16,8) = 12870 k-subsets.  Raises
-    CertificateError on the first violation.
+    Exact and exhaustive, in integers: the weights become numerators over
+    one common denominator ``den``, split into a red and a blue n x n
+    table.  The k-subsets are walked in lexicographic order, depth first;
+    each vertex added to a prefix extends the red and blue loads by its
+    weights to the vertices already chosen.  The subsets that complete a
+    (k-1)-prefix are compared against ``den`` through one exact maximum per
+    color, and scanned one by one, Red before Blue, only when a maximum
+    exceeds it.  ``Graph`` caps n at 16, where there are at most
+    C(16,8) = 12870 k-subsets.  Raises CertificateError on the first
+    violation in that order, naming its subset, color and rational weight.
     """
-    if w.n != c.n:
+    n = c.n
+    if w.n != n:
         raise InputError("weighting and coloring disagree on n")
-    for mc in build_constraints(c, k).constraints:
-        load = sum((w[e] for e in mc.edges), Fraction(0))
-        if load > 1:
-            raise CertificateError(
-                f"{mc.color.value} subgraph on {mc.vertices} "
-                f"exceeds the unit cap with weight {load}"
-            )
+    if not 3 <= k <= n:
+        raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
+    den = lcm(*(x.denominator for x in w.weights.values()))
+    red = [[0] * n for _ in range(n)]
+    blue = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(all_edges(n)):
+        x = w.weights[(u, v)]
+        table = red if c.red.mask >> i & 1 else blue
+        table[u][v] = table[v][u] = x.numerator * (den // x.denominator)
+
+    chosen: list[int] = []
+
+    def fail(color: str, v: int, load: int) -> CertificateError:
+        return CertificateError(
+            f"{color} subgraph on {tuple(chosen) + (v,)} "
+            f"exceeds the unit cap with weight {Fraction(load, den)}"
+        )
+
+    def extend(start: int, r: int, b: int, add_r: list[int], add_b: list[int]) -> None:
+        # r and b are the loads of the prefix ``chosen``; add_r[v] and
+        # add_b[v] are the loads that vertex v would add to them.
+        if len(chosen) == k - 1:
+            # The last vertex: one exact maximum per color clears every
+            # completion of this prefix at once; otherwise the completions
+            # are scanned in order for the first violation.
+            if r + max(add_r[start:]) > den or b + max(add_b[start:]) > den:
+                for v in range(start, n):
+                    if r + add_r[v] > den:
+                        raise fail("R", v, r + add_r[v])
+                    if b + add_b[v] > den:
+                        raise fail("B", v, b + add_b[v])
+            return
+        for u in range(start, n - (k - 1 - len(chosen))):
+            chosen.append(u)
+            extend(u + 1, r + add_r[u], b + add_b[u],
+                   [x + y for x, y in zip(add_r, red[u])],
+                   [x + y for x, y in zip(add_b, blue[u])])
+            chosen.pop()
+
+    extend(0, 0, 0, [0] * n, [0] * n)
 
 
 def bipartite_total_weight(n: int) -> Fraction:

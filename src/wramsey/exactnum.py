@@ -363,9 +363,19 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     )
 
 
+def _numerators(values) -> tuple[int, list[int]]:
+    """One positive common denominator of rationals and their numerators over it."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def check_certificates(problem: LpProblem, solution: LpSolution) -> bool:
     """Exact verification: primal feasible, dual feasible, objectives equal.
 
+    Recomputed from the problem and the reported solution alone, never
+    from solver state, in integers: each row is scaled by the LCM of its
+    denominators, x and y become numerators over their common
+    denominators, and every comparison is a cross-multiplication.
     Returns False on any violation; never raises for a malformed pair.
     """
     if solution.status is not LpStatus.OPTIMAL or solution.optimum is None:
@@ -374,35 +384,54 @@ def check_certificates(problem: LpProblem, solution: LpSolution) -> bool:
     y = solution.dual
     if len(x) != problem.num_vars or len(y) != len(problem.constraints):
         return False
-    if any(v < 0 for v in x):
+    dx, xs = _numerators(x)
+    if any(v < 0 for v in xs):
         return False
 
+    # Row i holds s_i times the rational row, with integer coefficients
+    # rows[i] and right-hand side b_i; rows compare against b_i * dx.
+    rows: list[list[tuple[int, int]]] = []
+    scales: list[int] = []
     for con in problem.constraints:
-        lhs = sum((val * x[idx] for idx, val in con.coeffs), _ZERO)
-        if con.relation is Relation.LE and not lhs <= con.rhs:
+        s, nums = _numerators([con.rhs, *(v for _, v in con.coeffs)])
+        row = [(idx, a) for (idx, _), a in zip(con.coeffs, nums[1:])]
+        lhs = sum(a * xs[idx] for idx, a in row)
+        rhs = nums[0] * dx
+        if con.relation is Relation.LE and not lhs <= rhs:
             return False
-        if con.relation is Relation.GE and not lhs >= con.rhs:
+        if con.relation is Relation.GE and not lhs >= rhs:
             return False
-        if con.relation is Relation.EQ and lhs != con.rhs:
+        if con.relation is Relation.EQ and lhs != rhs:
             return False
+        rows.append(row)
+        scales.append(s)
 
-    cx = sum((c * v for c, v in zip(problem.objective, x)), _ZERO)
-    by = sum((con.rhs * yi for con, yi in zip(problem.constraints, y)), _ZERO)
-    if cx != solution.optimum or by != solution.optimum:
+    # c.x = cx / (dc * dx) and b.y = by / (db * dy) against p / q.
+    p, q = solution.optimum.numerator, solution.optimum.denominator
+    dc, cs = _numerators(problem.objective)
+    dy, ys = _numerators(y)
+    db, bs = _numerators([con.rhs for con in problem.constraints])
+    cx = sum(c * v for c, v in zip(cs, xs))
+    by = sum(b * v for b, v in zip(bs, ys))
+    if cx * q != p * dc * dx or by * q != p * db * dy:
         return False
 
     maximize = problem.sense is Sense.MAX
-    for con, yi in zip(problem.constraints, y):
+    for con, yi in zip(problem.constraints, ys):
         if con.relation is Relation.LE and (yi < 0 if maximize else yi > 0):
             return False
         if con.relation is Relation.GE and (yi > 0 if maximize else yi < 0):
             return False
 
-    reduced = list(problem.objective)
-    for con, yi in zip(problem.constraints, y):
+    # The reduced costs c - A^T y, times dc * dy * L with L the LCM of the
+    # scales of the rows whose dual is nonzero.
+    big = lcm(*(s for s, yi in zip(scales, ys) if yi))
+    reduced = [c * dy * big for c in cs]
+    for row, s, yi in zip(rows, scales, ys):
         if yi:
-            for idx, val in con.coeffs:
-                reduced[idx] -= yi * val
+            f = dc * yi * (big // s)
+            for idx, a in row:
+                reduced[idx] -= f * a
     # A^T y >= c for a max program, <= c for a min program.
     if maximize:
         return all(r <= 0 for r in reduced)

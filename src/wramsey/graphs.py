@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapabilityError, InputError
@@ -276,15 +275,15 @@ def enumerate_colorings(n: int) -> list[TwoColoring]:
 
 
 def turan_number(k: int, i: int) -> int:
-    """Edge count t(k, i) of the balanced complete i-partite graph on k vertices."""
+    """Edge count t(k, i) of the balanced complete i-partite graph on k vertices.
+
+    With r parts of size q + 1 and i - r of size q (k = q*i + r), the pairs
+    inside parts are missing: t(k, i) = (k^2 - sum of squared part sizes) / 2.
+    """
     if not 2 <= i <= k:
         raise InputError(f"turan_number requires 2 <= i <= k, got i={i}, k={k}")
-    k_, i_ = Fraction(k), Fraction(i)
-    ceil_term = Fraction(-(-k // i)) - k_ / i_
-    floor_term = k_ / i_ - Fraction(k // i)
-    value = k_ * k_ / 2 * (i_ - 1) / i_ - i_ / 2 * ceil_term * floor_term
-    assert value.denominator == 1
-    return int(value)
+    q, r = divmod(k, i)
+    return (k * k - r * (q + 1) ** 2 - (i - r) * q * q) // 2
 
 
 def turan_graph(n: int, i: int) -> Graph:

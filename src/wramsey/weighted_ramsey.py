@@ -20,7 +20,12 @@ from enum import Enum
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .errors import CapabilityError, CertificateError, InputError
+from .errors import (
+    CapabilityError,
+    CertificateError,
+    ContractViolationError,
+    InputError,
+)
 from .exactnum import (
     LpStatus,
     Relation,
@@ -166,7 +171,8 @@ def _best_over(colorings: list[TwoColoring], k: int,
             value, weights = r_of_coloring(c, k)
             if best is None or value > best:
                 best, best_c, best_w = value, c, weights
-    assert best is not None and best_c is not None and best_w is not None
+    if best is None or best_c is None or best_w is None:
+        raise ContractViolationError("no coloring to maximize r over")
     return best, best_c, best_w
 
 

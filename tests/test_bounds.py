@@ -8,6 +8,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wramsey.errors import CertificateError, InputError
 from wramsey.bounds import (
@@ -27,8 +29,8 @@ from wramsey.bounds import (
     wram_lower_bound,
     wram_upper_bound,
 )
-from wramsey.graphs import turan_number
-from wramsey.weighted_ramsey import build_constraints
+from wramsey.graphs import Graph, TwoColoring, all_edges, turan_number
+from wramsey.weighted_ramsey import WeightAssignment, build_constraints
 
 RAMSEY_UPPER_TABLE = {3: 5, 4: 17, 5: 48, 6: 164, 7: 539, 8: 1869}
 
@@ -236,9 +238,6 @@ def test_blowup_below_threshold_still_verifies():
 
 
 def test_verify_weighting_flags_violations():
-    from wramsey.graphs import TwoColoring
-    from wramsey.weighted_ramsey import WeightAssignment
-
     c = TwoColoring.monochromatic(4)
     heavy = WeightAssignment(4, {e: F(1) for e in itertools.combinations(range(4), 2)})
     with pytest.raises(CertificateError):
@@ -266,3 +265,110 @@ def test_construction_total_check_survives_optimize_flag():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("raised: bipartite weighting totals")
+
+
+def _sum_over_constraints(c: TwoColoring, k: int, w: WeightAssignment) -> None:
+    """Oracle: Fraction loads summed over the monochromatic constraint set."""
+    if w.n != c.n:
+        raise InputError("weighting and coloring disagree on n")
+    for mc in build_constraints(c, k).constraints:
+        load = sum((w[e] for e in mc.edges), F(0))
+        if load > 1:
+            raise CertificateError(
+                f"{mc.color.value} subgraph on {mc.vertices} "
+                f"exceeds the unit cap with weight {load}"
+            )
+
+
+def _outcome(check, c, k, w):
+    try:
+        check(c, k, w)
+    except (CertificateError, InputError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def _weighted_colorings(draw):
+    n = draw(st.integers(3, 10))
+    k = draw(st.integers(3, n))
+    mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    raw = [
+        F(draw(st.integers(0, 4)), draw(st.sampled_from([1, 2, 3, 4, 5, 6])))
+        for _ in range(n * (n - 1) // 2)
+    ]
+    # A k-subset holds C(k,2) edges split between two colors; dividing by
+    # a quarter to twice C(k,2) lets both outcomes occur.
+    pairs = k * (k - 1) // 2
+    scale = F(draw(st.integers(max(1, pairs // 2), 4 * pairs)), 2)
+    w = WeightAssignment(n, {e: x / scale for e, x in zip(all_edges(n), raw)})
+    return TwoColoring(Graph(n, mask)), k, w
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_weighted_colorings())
+def test_verify_weighting_matches_fraction_oracle(case):
+    c, k, w = case
+    assert _outcome(verify_weighting, c, k, w) == _outcome(_sum_over_constraints, c, k, w)
+
+
+def test_verify_weighting_first_violation_messages():
+    # One 4-subset whose red triangle and blue star both carry 3/2: Red is
+    # reported first; with the red weights lowered, Blue is.
+    c = TwoColoring.from_red_edges(4, [(0, 1), (0, 2), (1, 2)])
+    both = WeightAssignment(4, {e: F(1, 2) for e in all_edges(4)})
+    with pytest.raises(CertificateError) as exc:
+        verify_weighting(c, 4, both)
+    assert str(exc.value) == "R subgraph on (0, 1, 2, 3) exceeds the unit cap with weight 3/2"
+    blue_only = WeightAssignment(
+        4, {e: F(1, 4) if c.red.has_edge(*e) else F(1, 2) for e in all_edges(4)}
+    )
+    with pytest.raises(CertificateError) as exc:
+        verify_weighting(c, 4, blue_only)
+    assert str(exc.value) == "B subgraph on (0, 1, 2, 3) exceeds the unit cap with weight 3/2"
+
+    # The lexicographically first violating subset wins over the color:
+    # (0, 1, 4) fails in Blue before (1, 2, 3) fails in Red.
+    c = TwoColoring.from_red_edges(5, [(1, 2), (1, 3), (2, 3)])
+    weights = {e: F(0) for e in all_edges(5)}
+    weights.update({(1, 2): F(1, 2), (1, 3): F(1, 2), (2, 3): F(1, 2),
+                    (0, 1): F(3, 5), (0, 4): F(1, 5), (1, 4): F(1, 3)})
+    with pytest.raises(CertificateError) as exc:
+        verify_weighting(c, 3, WeightAssignment(5, weights))
+    assert str(exc.value) == "B subgraph on (0, 1, 4) exceeds the unit cap with weight 17/15"
+
+
+def test_verify_weighting_input_errors():
+    c = TwoColoring.monochromatic(5)
+    w = WeightAssignment(5, {})
+    for k in (2, 6):
+        with pytest.raises(InputError, match=f"need 3 <= k <= n, got k={k}, n=5"):
+            verify_weighting(c, k, w)
+    with pytest.raises(InputError, match="disagree on n"):
+        verify_weighting(c, 4, WeightAssignment(6, {}))
+
+
+_VIOLATED_CONSTRUCTION = """
+from fractions import Fraction
+import wramsey.bounds as bounds
+from wramsey.errors import CertificateError
+assert False, "assert statements must be stripped under -O"
+coloring, weights, _ = bounds.construction_k4(8)
+try:
+    bounds.verify_weighting(coloring, 4, weights.scaled(Fraction(6, 5)))
+except CertificateError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_verify_weighting_survives_optimize_flag():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _VIOLATED_CONSTRUCTION],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "raised: B subgraph on (0, 1, 2, 3) exceeds the unit cap with weight 6/5\n"
+    )

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +154,17 @@ def test_pivot_limit_exits_3(capsys, monkeypatch, k4_graph_file):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("stat, n", [("taustar", 13), ("r", 13), ("rtilde", 11)])
+def test_packing_lp_caps_exit_3(capsys, tmp_path, stat, n):
+    # n is the first size each LP refuses; n <= 8 is never refused.
+    path = tmp_path / f"k{n}.txt"
+    path.write_text(format_graph(Graph.complete(n)))
+    code, out, err = run_cli(capsys, "--stable", "packing", "--graph", str(path), "--stat", stat)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and f"capped at n={n - 1}" in err
+    assert "Traceback" not in err
+
+
 def test_bounds_tables_row_counts(capsys):
     code, out, _ = run_cli(capsys, "--stable", "bounds", "--table", "turan", "--kmax", "8")
     assert code == 0
@@ -260,3 +272,17 @@ def test_subgraph_weight_serialization_masks():
     text = format_subgraph_weights(SubgraphWeights(g, {desc: F(1, 2)}))
     # Edges (0,1) and (1,2) are bits 0 and 2 of the (v1v2, v1v3, v2v3) mask.
     assert text == "0 1 2 | 5 | 1/2\n"
+
+
+_PINNED = Path(__file__).resolve().parent / "pinned"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("verify_k4_n8", ["verify", "--construction", "k4", "--n", "8"]),
+    ("verify_blowup_n15_k5", ["verify", "--construction", "blowup", "--n", "15", "--k", "5"]),
+    ("bounds_lk_kmax100", ["bounds", "--table", "lk", "--kmax", "100"]),
+])
+def test_readme_examples_match_pinned_output(capsys, name, argv):
+    code, out, err = run_cli(capsys, "--stable", "--json", *argv)
+    assert (code, err) == (0, "")
+    assert out == (_PINNED / f"{name}.json").read_text(encoding="utf-8")

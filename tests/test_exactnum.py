@@ -248,6 +248,77 @@ def test_random_lps_certify_and_agree_with_highs(prob):
         assert abs(float(sol.optimum) - optimum) <= 1e-9 * max(1.0, abs(optimum))
 
 
+def _fraction_check_certificates(problem, solution) -> bool:
+    """Oracle: the same three certificate checks summed in Fractions."""
+    if solution.status is not LpStatus.OPTIMAL or solution.optimum is None:
+        return False
+    x = solution.primal
+    y = solution.dual
+    if len(x) != problem.num_vars or len(y) != len(problem.constraints):
+        return False
+    if any(v < 0 for v in x):
+        return False
+    for con in problem.constraints:
+        lhs = sum((val * x[idx] for idx, val in con.coeffs), F(0))
+        if con.relation is Relation.LE and not lhs <= con.rhs:
+            return False
+        if con.relation is Relation.GE and not lhs >= con.rhs:
+            return False
+        if con.relation is Relation.EQ and lhs != con.rhs:
+            return False
+    cx = sum((c * v for c, v in zip(problem.objective, x)), F(0))
+    by = sum((con.rhs * yi for con, yi in zip(problem.constraints, y)), F(0))
+    if cx != solution.optimum or by != solution.optimum:
+        return False
+    maximize = problem.sense is Sense.MAX
+    for con, yi in zip(problem.constraints, y):
+        if con.relation is Relation.LE and (yi < 0 if maximize else yi > 0):
+            return False
+        if con.relation is Relation.GE and (yi > 0 if maximize else yi < 0):
+            return False
+    reduced = list(problem.objective)
+    for con, yi in zip(problem.constraints, y):
+        for idx, val in con.coeffs:
+            reduced[idx] -= yi * val
+    if maximize:
+        return all(r <= 0 for r in reduced)
+    return all(r >= 0 for r in reduced)
+
+
+def _tampered(data, prob, sol):
+    """The solver's pair, or one with a single entry moved, or a random one."""
+    shift = data.draw(_SMALL_RATIONALS)
+    kind = data.draw(st.sampled_from(
+        ["none", "primal", "dual", "optimum", "scale_dual", "random", "short"]
+    ))
+    if sol.status is not LpStatus.OPTIMAL or kind == "random":
+        m = len(prob.constraints)
+        x = data.draw(st.lists(_SMALL_RATIONALS, min_size=prob.num_vars, max_size=prob.num_vars))
+        y = data.draw(st.lists(_SMALL_RATIONALS, min_size=m, max_size=m))
+        return LpSolution(LpStatus.OPTIMAL, data.draw(_SMALL_RATIONALS), tuple(x), tuple(y))
+    x, y, opt = list(sol.primal), list(sol.dual), sol.optimum
+    if kind == "primal":
+        x[data.draw(st.integers(0, len(x) - 1))] += shift
+    elif kind == "dual" and y:
+        y[data.draw(st.integers(0, len(y) - 1))] += shift
+    elif kind == "optimum":
+        opt += shift
+    elif kind == "scale_dual":
+        y = [v * (1 + shift) for v in y]
+    elif kind == "short":
+        x = x[:-1]
+    return LpSolution(sol.status, opt, tuple(x), tuple(y))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_small_lps(), st.data())
+def test_integer_certificate_check_matches_fraction_oracle(prob, data):
+    sol = solve_lp(prob)
+    assert check_certificates(prob, sol) == _fraction_check_certificates(prob, sol)
+    pair = _tampered(data, prob, sol)
+    assert check_certificates(prob, pair) == _fraction_check_certificates(prob, pair)
+
+
 def _capture_lp(monkeypatch, module):
     """Record the last (problem, solution) pair the module solves."""
     seen = []

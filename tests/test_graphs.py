@@ -69,6 +69,17 @@ def test_turan_number_matches_constructed_graph():
             assert turan_graph(k, i).edge_count == turan_number(k, i)
 
 
+def test_turan_number_matches_rational_closed_form():
+    # k^2 (i-1) / (2i) - (i/2) (ceil(k/i) - k/i) (k/i - floor(k/i)).
+    for k in range(2, 151):
+        for i in range(2, k + 1):
+            ki = F(k, i)
+            ceil_gap = -(-k // i) - ki
+            floor_gap = ki - k // i
+            closed = F(k * k) * (i - 1) / (2 * i) - F(i, 2) * ceil_gap * floor_gap
+            assert turan_number(k, i) == closed
+
+
 def test_turan_bounds_chain():
     for k in range(3, 21):
         for i in range(2, k + 1):

@@ -5,7 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from wramsey.errors import CapabilityError, CertificateError, InputError
+from wramsey.errors import (
+    CapabilityError,
+    CertificateError,
+    ContractViolationError,
+    InputError,
+)
 from wramsey.graphs import (
     TwoColoring,
     balanced_blowup,
@@ -16,6 +21,7 @@ from wramsey.graphs import (
 from wramsey.packing import r_induced
 from wramsey.weighted_ramsey import (
     Color,
+    _best_over,
     WeightAssignment,
     WramResult,
     build_constraints,
@@ -223,3 +229,8 @@ def test_inconsistent_wram_result_is_a_certificate_failure():
             witness_coloring=res.witness_coloring,
             witness_weights=res.witness_weights,
         )
+
+
+def test_maximizing_over_no_coloring_is_a_contract_violation():
+    with pytest.raises(ContractViolationError):
+        _best_over([], 3, None)
