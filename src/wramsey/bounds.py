@@ -59,19 +59,25 @@ def turan_ratio_gap_lower(k: int, i: int) -> Fraction:
     return lead * (Fraction(1, (i - 1) * (i - 2)) - Fraction(i, i - 1) / (4 * k - 5))
 
 
+def _density(k: int) -> tuple[Fraction, tuple[tuple[int, Fraction, int], ...]]:
+    """c(k) and its per-i terms (i, gap, tabled Ramsey bound)."""
+    if k < 4:
+        raise InputError(f"density coefficient defined for k >= 4, got {k}")
+    gap = turan_ratio_gap if k <= 8 else turan_ratio_gap_lower
+    terms = tuple(
+        (i, gap(k, i), diagonal_ramsey_upper(i)) for i in range(3, min(k, 8) + 1)
+    )
+    acc = 1 - sum(term / ramsey for _, term, ramsey in terms)
+    return acc / turan_number(k, 2), terms
+
+
 def density_coefficient(k: int) -> Fraction:
     """c(k): r(n,k) stays below (1+o(1)) * C(n,2) * c(k).
 
     Exact table gaps drive k <= 8; the closed-form lower bound on the gap
     takes over from k = 9 on.
     """
-    if k < 4:
-        raise InputError(f"density coefficient defined for k >= 4, got {k}")
-    gap = turan_ratio_gap if k <= 8 else turan_ratio_gap_lower
-    acc = Fraction(1)
-    for i in range(3, min(k, 8) + 1):
-        acc -= gap(k, i) / diagonal_ramsey_upper(i)
-    return acc / turan_number(k, 2)
+    return _density(k)[0]
 
 
 def wram_lower_bound(k: int) -> Fraction:
@@ -133,19 +139,14 @@ class BoundsReport:
 
     def __post_init__(self):
         if self.lower_bound * self.c_k != 1:
-            raise InputError("lower bound must be the reciprocal of c(k)")
+            raise CertificateError("lower bound must be the reciprocal of c(k)")
         if self.upper_bound < self.lower_bound:
-            raise InputError("upper bound fell below lower bound")
+            raise CertificateError("upper bound fell below lower bound")
 
 
 def bounds_report(k: int) -> BoundsReport:
     """Bracket [1/c(k), U(k)] with the per-i terms that produced c(k)."""
-    gap = turan_ratio_gap if k <= 8 else turan_ratio_gap_lower
-    rows = tuple(
-        (i, gap(k, i), diagonal_ramsey_upper(i))
-        for i in range(3, min(k, 8) + 1)
-    )
-    c_k = density_coefficient(k)
+    c_k, rows = _density(k)
     return BoundsReport(
         k=k,
         c_k=c_k,

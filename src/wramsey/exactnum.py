@@ -19,6 +19,9 @@ pivot keeps the integer tableau equal to that denominator times the
 rational tableau, so the pivot path, and with it every primal and dual
 witness, is the one the rational simplex would take.  Rationals appear
 again only at the boundary, when the solution is read off.
+
+``solve_unit_program`` builds, solves and certifies the one shape every
+program of the package has: a 0/1 matrix, unit right-hand sides and costs.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, CertificateError, InputError
 
 Rational = Fraction
 
@@ -436,3 +439,23 @@ def check_certificates(problem: LpProblem, solution: LpSolution) -> bool:
     if maximize:
         return all(r <= 0 for r in reduced)
     return all(r >= 0 for r in reduced)
+
+
+def solve_unit_program(num_vars: int, rows: Iterable[Iterable[int]], sense: Sense,
+                       relation: Relation, what: str) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Optimize the sum of ``num_vars`` nonnegative variables, certified.
+
+    Each row lists the variables whose sum is held to ``relation`` 1, in
+    order.  Returns the optimum and the primal witness; raises
+    CertificateError("<what> failed to certify") unless the program is
+    optimal and ``check_certificates`` accepts the solution.
+    """
+    problem = lp_problem(
+        num_vars, [1] * num_vars, sense,
+        [constraint(dict.fromkeys(row, 1), relation, 1) for row in rows],
+    )
+    solution = solve_lp(problem)
+    if (solution.status is not LpStatus.OPTIMAL
+            or not check_certificates(problem, solution)):
+        raise CertificateError(f"{what} failed to certify")
+    return solution.optimum, solution.primal

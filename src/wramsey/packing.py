@@ -10,6 +10,10 @@ Four invariants are computed exactly:
 * ``r_tilde``     - min total weight on arbitrary 3-vertex subgraphs with
                     every edge loaded exactly once.
 
+The three LPs share one shape: one row per edge, over the members that
+use it, with the edge's load held at most, at least or exactly 1, and unit
+costs; ``exactnum.solve_unit_program`` solves and certifies it.
+
 The two minima are equal; the constructive conversions between their
 solutions, and between packings and covers, are implemented as weight
 redistribution algorithms operating on ``SubgraphWeights``.
@@ -26,21 +30,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    CapabilityError,
-    CertificateError,
-    ContractViolationError,
-    InputError,
-)
-from .exactnum import (
-    LpStatus,
-    Relation,
-    Sense,
-    check_certificates,
-    constraint,
-    lp_problem,
-    solve_lp,
-)
+from .errors import CapabilityError, ContractViolationError, InputError
+from .exactnum import Relation, Sense, solve_unit_program
 from .graphs import Graph, TwoColoring, enumerate_colorings
 
 _ZERO = Fraction(0)
@@ -129,11 +120,6 @@ def _require_unit_loads(tw: SubgraphWeights, what: str) -> None:
             raise ContractViolationError(f"{what}: edge {e} has load {load}")
 
 
-def _certify(prob, sol) -> None:
-    if sol.status is not LpStatus.OPTIMAL or not check_certificates(prob, sol):
-        raise CertificateError("packing LP failed to certify")
-
-
 # Largest n each packing LP accepts.  K_n gives the largest LP of each
 # size; measured on a 2-core machine: tau_star 2.9 s at n=12 (9.8 s at 13),
 # r_induced 3.5 s at 12 (8.2 s at 13), r_tilde 4.9 s at 10 (14.7 s at 11).
@@ -150,21 +136,8 @@ def _require_cap(g: Graph, cap: int, what: str) -> None:
 def tau_star(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     """Fractional triangle packing number with an optimal weight witness."""
     _require_cap(g, _TAU_STAR_CAP, "fractional triangle packing")
-    triangles = [induced_descriptor(g, t) for t in g.triangles()]
-    if not triangles:
-        return _ZERO, SubgraphWeights(g, {})
-    cons = []
-    for e in g.edges():
-        row = {i: 1 for i, d in enumerate(triangles) if e in d.edges}
-        if row:
-            cons.append(constraint(row, Relation.LE, 1))
-    prob = lp_problem(len(triangles), [1] * len(triangles), Sense.MAX, cons)
-    sol = solve_lp(prob)
-    _certify(prob, sol)
-    weights = SubgraphWeights(
-        g, {d: sol.primal[i] for i, d in enumerate(triangles)}
-    )
-    return sol.optimum, weights
+    return _unit_program(g, [induced_descriptor(g, t) for t in g.triangles()],
+                         Sense.MAX, Relation.LE)
 
 
 _TAU_CAP = 10
@@ -243,34 +216,32 @@ def _all_members(g: Graph) -> list[SubgraphDescriptor]:
     return out
 
 
-def _min_cover(g: Graph, members: list[SubgraphDescriptor],
-               relation: Relation) -> tuple[Fraction, SubgraphWeights]:
-    edges = g.edges()
-    if not edges:
+def _unit_program(g: Graph, members: list[SubgraphDescriptor], sense: Sense,
+                  relation: Relation) -> tuple[Fraction, SubgraphWeights]:
+    """Optimize the total member weight; one row per edge some member uses."""
+    if not members:
         return _ZERO, SubgraphWeights(g, {})
-    cons = []
-    for e in edges:
-        row = {i: 1 for i, d in enumerate(members) if e in d.edges}
-        cons.append(constraint(row, relation, 1))
-    prob = lp_problem(len(members), [1] * len(members), Sense.MIN, cons)
-    sol = solve_lp(prob)
-    _certify(prob, sol)
-    weights = SubgraphWeights(
-        g, {d: sol.primal[i] for i, d in enumerate(members)}
+    rows: dict[tuple[int, int], list[int]] = {e: [] for e in g.edges()}
+    for i, d in enumerate(members):
+        for e in d.edges:
+            rows[e].append(i)
+    optimum, primal = solve_unit_program(
+        len(members), [row for row in rows.values() if row], sense, relation,
+        "packing LP",
     )
-    return sol.optimum, weights
+    return optimum, SubgraphWeights(g, dict(zip(members, primal)))
 
 
 def r_induced(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     """Minimum fractional cover of E(G) by induced 3-vertex subgraphs."""
     _require_cap(g, _R_INDUCED_CAP, "induced cover")
-    return _min_cover(g, _induced_members(g), Relation.GE)
+    return _unit_program(g, _induced_members(g), Sense.MIN, Relation.GE)
 
 
 def r_tilde(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     """Minimum total weight with every edge loaded exactly once."""
     _require_cap(g, _R_TILDE_CAP, "exact-load cover")
-    return _min_cover(g, _all_members(g), Relation.EQ)
+    return _unit_program(g, _all_members(g), Sense.MIN, Relation.EQ)
 
 
 def lift_tilde_to_induced(tw: SubgraphWeights) -> SubgraphWeights:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from wramsey.errors import CertificateError, InputError
 from wramsey.bounds import (
+    BoundsReport,
     bipartite_implied_bound,
     tail_drop_threshold,
     bipartite_total_weight,
@@ -144,6 +145,14 @@ def test_bounds_report_consistency():
         assert rep.lower_bound * rep.c_k == 1
         assert rep.upper_bound >= rep.lower_bound
         assert len(rep.table_rows) == min(k, 8) - 2
+
+
+def test_inconsistent_bounds_report_is_a_certificate_error():
+    rep = bounds_report(4)
+    with pytest.raises(CertificateError, match="reciprocal"):
+        BoundsReport(4, rep.c_k, rep.lower_bound + 1, rep.upper_bound, rep.table_rows)
+    with pytest.raises(CertificateError, match="fell below"):
+        BoundsReport(4, rep.c_k, rep.lower_bound, rep.lower_bound - 1, rep.table_rows)
 
 
 def test_tail_expression_values():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wramsey import exactnum, packing, weighted_ramsey
+from wramsey import exactnum
 from wramsey.cli import (
     format_decimal,
     format_rational,
@@ -16,7 +16,13 @@ from wramsey.cli import (
     report_from_json,
     report_to_json,
 )
-from wramsey.graphs import Graph, format_coloring, format_graph, mono_triangle_free_k5
+from wramsey.graphs import (
+    Graph,
+    balanced_blowup,
+    format_coloring,
+    format_graph,
+    mono_triangle_free_k5,
+)
 from wramsey.packing import SubgraphWeights, induced_descriptor
 
 
@@ -130,8 +136,7 @@ def test_packing_parse_error(capsys, tmp_path):
 
 
 def test_failed_certificate_exits_4(capsys, monkeypatch, k4_graph_file):
-    monkeypatch.setattr(packing, "check_certificates", lambda prob, sol: False)
-    monkeypatch.setattr(weighted_ramsey, "check_certificates", lambda prob, sol: False)
+    monkeypatch.setattr(exactnum, "check_certificates", lambda prob, sol: False)
     code, out, err = run_cli(
         capsys, "--stable", "packing", "--graph", k4_graph_file, "--stat", "taustar"
     )
@@ -165,6 +170,18 @@ def test_packing_lp_caps_exit_3(capsys, tmp_path, stat, n):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_wram_file_past_weight_lp_cap_exits_3(capsys, tmp_path, jobs):
+    # n = 11 is the first size the weight LP refuses, in a pool worker too.
+    path = tmp_path / "blowup11.txt"
+    path.write_text(format_coloring(balanced_blowup(mono_triangle_free_k5(), 11)))
+    code, out, err = run_cli(
+        capsys, "--stable", "--jobs", jobs, "wram", "--k", "5", "--file", str(path)
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: weight LP capped at n=10\n"
+
+
 def test_bounds_tables_row_counts(capsys):
     code, out, _ = run_cli(capsys, "--stable", "bounds", "--table", "turan", "--kmax", "8")
     assert code == 0
@@ -182,8 +199,10 @@ def test_bounds_tables_row_counts(capsys):
     assert code == 0
     assert "607/2550" in out
 
-    code, _, _ = run_cli(capsys, "--stable", "bounds", "--table", "ck", "--kmax", "1001")
-    assert code == 2
+    for table in ("turan", "alpha", "ck", "lk"):
+        code, out, err = run_cli(capsys, "--stable", "bounds", "--table", table, "--kmax", "1001")
+        assert code == 3
+        assert (out, err) == ("", "error: bounds tables capped at kmax = 1000\n")
 
 
 def test_bounds_lk_dominates_published(capsys):
@@ -281,6 +300,7 @@ _PINNED = Path(__file__).resolve().parent / "pinned"
     ("verify_k4_n8", ["verify", "--construction", "k4", "--n", "8"]),
     ("verify_blowup_n15_k5", ["verify", "--construction", "blowup", "--n", "15", "--k", "5"]),
     ("bounds_lk_kmax100", ["bounds", "--table", "lk", "--kmax", "100"]),
+    ("wram_n6_k3_exhaustive", ["--jobs", "1", "wram", "--n", "6", "--k", "3", "--exhaustive"]),
 ])
 def test_readme_examples_match_pinned_output(capsys, name, argv):
     code, out, err = run_cli(capsys, "--stable", "--json", *argv)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from wramsey import packing, weighted_ramsey
-from wramsey.errors import InputError
+from wramsey import exactnum, packing, weighted_ramsey
+from wramsey.errors import CertificateError, InputError
 from wramsey.exactnum import (
     LpSolution,
     LpStatus,
@@ -20,6 +20,7 @@ from wramsey.exactnum import (
     constraint,
     lp_problem,
     solve_lp,
+    solve_unit_program,
 )
 from wramsey.graphs import Graph, TwoColoring
 
@@ -340,8 +341,23 @@ def _nonzero(values):
 _DENSE_8 = Graph(8, 259514301)
 
 
+def test_pinned_witness_tau_star_dense_8(monkeypatch):
+    seen = _capture_lp(monkeypatch, exactnum)
+    value, _ = packing.tau_star(_DENSE_8)
+    prob, sol = seen[-1]
+    assert (prob.num_vars, len(prob.constraints)) == (29, 23)
+    assert value == sol.optimum == F(23, 3)
+    assert _nonzero(sol.primal) == {
+        0: "1/2", 1: "1/3", 3: "1/6", 4: "1/6", 5: "1/3", 6: "1/2", 7: "1/2",
+        8: "2/3", 9: "1/6", 11: "1/6", 13: "1/2", 17: "1/6", 18: "2/3",
+        19: "1/6", 20: "1/3", 22: "1/3", 23: "1/6", 24: "2/3", 25: "5/6",
+        26: "1/6", 27: "1/6",
+    }
+    assert sol.dual == (F(1, 3),) * 23
+
+
 def test_pinned_witness_r_tilde_dense_8(monkeypatch):
-    seen = _capture_lp(monkeypatch, packing)
+    seen = _capture_lp(monkeypatch, exactnum)
     value, _ = packing.r_tilde(_DENSE_8)
     prob, sol = seen[-1]
     assert (prob.num_vars, len(prob.constraints)) == (278, 23)
@@ -356,7 +372,7 @@ def test_pinned_witness_r_tilde_dense_8(monkeypatch):
 
 
 def test_pinned_witness_r_induced_dense_8(monkeypatch):
-    seen = _capture_lp(monkeypatch, packing)
+    seen = _capture_lp(monkeypatch, exactnum)
     value, _ = packing.r_induced(_DENSE_8)
     prob, sol = seen[-1]
     assert (prob.num_vars, len(prob.constraints)) == (56, 23)
@@ -372,7 +388,7 @@ def test_pinned_witness_r_induced_dense_8(monkeypatch):
 
 def test_pinned_witness_weight_lp_k7_class_k4(monkeypatch):
     # The class representative at index 261 of enumerate_colorings(7).
-    seen = _capture_lp(monkeypatch, weighted_ramsey)
+    seen = _capture_lp(monkeypatch, exactnum)
     value, _ = weighted_ramsey.r_of_coloring(TwoColoring(Graph(7, 7090)), 4)
     prob, sol = seen[-1]
     assert (prob.num_vars, len(prob.constraints)) == (21, 69)
@@ -387,6 +403,14 @@ def test_pinned_witness_weight_lp_k7_class_k4(monkeypatch):
         24: "1/5", 28: "1/5", 30: "1/5", 33: "1/2", 35: "1/3", 40: "4/5",
         51: "1/3", 52: "1/5", 65: "1/6", 67: "1/6", 68: "1/3",
     }
+
+
+def test_unit_program_failures_name_the_program():
+    # An empty = row cannot reach 1; a max program without rows is unbounded.
+    with pytest.raises(CertificateError, match="^demo LP failed to certify$"):
+        solve_unit_program(2, [[0, 1], []], Sense.MIN, Relation.EQ, "demo LP")
+    with pytest.raises(CertificateError, match="^demo LP failed to certify$"):
+        solve_unit_program(2, [], Sense.MAX, Relation.LE, "demo LP")
 
 
 def test_rational_rows_keep_the_rational_pivot_path():
