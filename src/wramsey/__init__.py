@@ -42,12 +42,8 @@ from .graphs import (
     turan_number,
 )
 from .weighted_ramsey import (
-    Color,
-    MonoConstraint,
-    MonoConstraintSet,
     WeightAssignment,
     WramResult,
-    build_constraints,
     check_monotonicity,
     r_of_coloring,
     wram,

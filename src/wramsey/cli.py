@@ -138,7 +138,7 @@ def _wram_payload(res: WramResult) -> dict:
 
 
 def _cmd_wram(args) -> RunReport:
-    jobs = args.jobs if args.jobs else default_jobs()
+    jobs = args.jobs or default_jobs()
     if args.exhaustive == (args.file is not None):
         raise InputError("choose exactly one of --exhaustive or --file")
     if args.exhaustive:
@@ -333,6 +333,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.jobs < 0:
+            raise InputError(f"--jobs must be >= 0, got {args.jobs}")
         report = _HANDLERS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,6 +100,18 @@ class Graph:
             (u, v) for u, v in itertools.combinations(vs, 2) if self.has_edge(u, v)
         )
 
+    def induced_rows(self, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each k-set S with an edge in G[S], in combinations order, paired
+        with the positions in ``edges()`` of the edges of G[S]."""
+        position = {e: i for i, e in enumerate(self.edges())}.get
+        rows = []
+        for subset in itertools.combinations(range(self.n), k):
+            row = tuple(i for i in map(position, itertools.combinations(subset, 2))
+                        if i is not None)
+            if row:
+                rows.append((subset, row))
+        return rows
+
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(
             t for t in itertools.combinations(range(self.n), 3)

@@ -198,12 +198,9 @@ def tau_integral_family(g: Graph) -> list[tuple[int, int, int]]:
 
 
 def _induced_members(g: Graph) -> list[SubgraphDescriptor]:
-    out = []
-    for triple in itertools.combinations(range(g.n), 3):
-        desc = induced_descriptor(g, triple)
-        if desc.edge_count:
-            out.append(desc)
-    return out
+    edges = g.edges()
+    return [SubgraphDescriptor(triple, tuple(edges[i] for i in row))
+            for triple, row in g.induced_rows(3)]
 
 
 def _all_members(g: Graph) -> list[SubgraphDescriptor]:

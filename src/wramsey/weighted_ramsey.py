@@ -9,8 +9,20 @@ wram(n, k) = C(n,2) / r(n, k).
 
 Only the maximal monochromatic subgraph per (k-set, color) is constrained:
 weights are nonnegative, so every smaller monochromatic subgraph on the
-same k-set is dominated by it.  Each constraint is a unit row over edge
-positions, solved and certified by ``exactnum.solve_unit_program``.
+same k-set is dominated by it.  No row mixes the colors, so the program is
+block-diagonal and r(c; n, k) = phi_k(R) + phi_k(B), where phi_k(G) is the
+largest total edge weight on G with every G[S], |S| = k, held to at most
+one (for k = 3, the LP dual of ``packing.r_induced``).  Each block is a unit
+program over the edges of its color, in ``Graph.edges()`` order, with the
+rows of ``Graph.induced_rows``, solved and certified by
+``exactnum.solve_unit_program``.
+
+The witness is the one the joint program over all edges would give.  A
+simplex pivot in one block multiplies the other block's rows and objective
+entries by a positive factor, so their signs, and with them Bland's choices
+there, do not change; each block keeps the relative order of its variables,
+slacks and rows, so Bland's rule on the joint program is Bland's rule on
+each block.  The final bases, the primal and the dual are the same.
 """
 
 from __future__ import annotations
@@ -18,7 +30,6 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from multiprocessing import Pool
 
@@ -30,13 +41,6 @@ from .errors import (
 )
 from .exactnum import Relation, Sense, solve_unit_program
 from .graphs import Graph, TwoColoring, all_edges, enumerate_colorings
-
-from itertools import combinations
-
-
-class Color(Enum):
-    RED = "R"
-    BLUE = "B"
 
 
 @dataclass(frozen=True)
@@ -73,19 +77,6 @@ class WeightAssignment:
 
 
 @dataclass(frozen=True)
-class MonoConstraint:
-    vertices: tuple[int, ...]
-    color: Color
-    edges: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class MonoConstraintSet:
-    k: int
-    constraints: tuple[MonoConstraint, ...]
-
-
-@dataclass(frozen=True)
 class WramResult:
     n: int
     k: int
@@ -102,24 +93,6 @@ class WramResult:
             raise CertificateError("wram value times r value must equal C(n,2)")
 
 
-def build_constraints(c: TwoColoring, k: int) -> MonoConstraintSet:
-    """One constraint per (k-subset, color) whose edge set is nonempty."""
-    n = c.n
-    if not 3 <= k <= n:
-        raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
-    rows = []
-    for subset in combinations(range(n), k):
-        red = []
-        blue = []
-        for u, v in combinations(subset, 2):
-            (red if c.red.has_edge(u, v) else blue).append((u, v))
-        if red:
-            rows.append(MonoConstraint(subset, Color.RED, tuple(red)))
-        if blue:
-            rows.append(MonoConstraint(subset, Color.BLUE, tuple(blue)))
-    return MonoConstraintSet(k, tuple(rows))
-
-
 # Largest n the weight LP accepts.  The worst k is about n/2; measured on a
 # 2-core machine over a pentagon blow-up, a random and a bipartite coloring:
 # 6.1 s at n=10 (k=5), 46 s at n=11 (k=5).  Exhaustive wram needs n <= 8.
@@ -129,16 +102,21 @@ _WEIGHT_LP_CAP = 10
 def r_of_coloring(c: TwoColoring, k: int) -> tuple[Fraction, WeightAssignment]:
     """Optimum of max sum(w) subject to unit caps on monochromatic k-sets."""
     n = c.n
+    if not 3 <= k <= n:
+        raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
     if n > _WEIGHT_LP_CAP:
         raise CapabilityError(f"weight LP capped at n={_WEIGHT_LP_CAP}")
-    edges = all_edges(n)
-    edge_pos = {e: i for i, e in enumerate(edges)}
-    optimum, primal = solve_unit_program(
-        len(edges),
-        [[edge_pos[e] for e in mc.edges] for mc in build_constraints(c, k).constraints],
-        Sense.MAX, Relation.LE, "weight LP",
-    )
-    return optimum, WeightAssignment(n, dict(zip(edges, primal)))
+    value = Fraction(0)
+    weights = {}
+    for g in (c.red, c.blue):
+        if g.mask:
+            optimum, primal = solve_unit_program(
+                g.edge_count, [row for _, row in g.induced_rows(k)],
+                Sense.MAX, Relation.LE, "weight LP",
+            )
+            value += optimum
+            weights.update(zip(g.edges(), primal))
+    return value, WeightAssignment(n, weights)
 
 
 def _search_worker(args: tuple[int, int, int]):

@@ -31,7 +31,7 @@ from wramsey.bounds import (
     wram_upper_bound,
 )
 from wramsey.graphs import Graph, TwoColoring, all_edges, turan_number
-from wramsey.weighted_ramsey import WeightAssignment, build_constraints
+from wramsey.weighted_ramsey import WeightAssignment
 
 RAMSEY_UPPER_TABLE = {3: 5, 4: 17, 5: 48, 6: 164, 7: 539, 8: 1869}
 
@@ -210,8 +210,9 @@ def test_bipartite_bound_approaches_24_fifths():
 
 def test_bipartite_feasibility_via_constraint_scan():
     coloring, weights, _ = construction_k4(9)
-    for mc in build_constraints(coloring, 4).constraints:
-        assert sum(weights[e] for e in mc.edges) <= 1
+    for subset in itertools.combinations(range(9), 4):
+        for graph in (coloring.red, coloring.blue):
+            assert sum(weights[e] for e in graph.induced_edges(subset)) <= 1
 
 
 def test_blowup_construction_instance():
@@ -225,8 +226,10 @@ def test_blowup_construction_instance():
     # Largest monochromatic weighted edge count over every 5-subset is
     # exactly floor(25/4) = 6.
     best = F(0)
-    for mc in build_constraints(coloring, 5).constraints:
-        best = max(best, sum(weights[e] for e in mc.edges) * (5 * 5 // 4))
+    for subset in itertools.combinations(range(15), 5):
+        for graph in (coloring.red, coloring.blue):
+            load = sum(weights[e] for e in graph.induced_edges(subset))
+            best = max(best, load * (5 * 5 // 4))
     assert best == 6
 
 
@@ -277,16 +280,18 @@ def test_construction_total_check_survives_optimize_flag():
 
 
 def _sum_over_constraints(c: TwoColoring, k: int, w: WeightAssignment) -> None:
-    """Oracle: Fraction loads summed over the monochromatic constraint set."""
+    """Oracle: Fraction loads summed over each k-set's red, then blue edges."""
     if w.n != c.n:
         raise InputError("weighting and coloring disagree on n")
-    for mc in build_constraints(c, k).constraints:
-        load = sum((w[e] for e in mc.edges), F(0))
-        if load > 1:
-            raise CertificateError(
-                f"{mc.color.value} subgraph on {mc.vertices} "
-                f"exceeds the unit cap with weight {load}"
-            )
+    graphs = (("R", c.red), ("B", c.blue))
+    for subset in itertools.combinations(range(c.n), k):
+        for color, graph in graphs:
+            load = sum((w[e] for e in graph.induced_edges(subset)), F(0))
+            if load > 1:
+                raise CertificateError(
+                    f"{color} subgraph on {subset} "
+                    f"exceeds the unit cap with weight {load}"
+                )
 
 
 def _outcome(check, c, k, w):

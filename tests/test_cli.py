@@ -89,6 +89,23 @@ def test_wram_flag_validation(capsys):
     assert "error" in err
 
 
+def test_negative_jobs_is_an_input_error(capsys, monkeypatch, k3_graph_file):
+    code, out, err = run_cli(
+        capsys, "--stable", "--jobs", "-3", "wram", "--exhaustive", "--n", "5", "--k", "3"
+    )
+    assert (code, out, err) == (2, "", "error: --jobs must be >= 0, got -3\n")
+    # The worker count is a global option: every command rejects it.
+    code, out, err = run_cli(capsys, "--jobs", "-1", "packing", "--graph", k3_graph_file)
+    assert (code, out, err) == (2, "", "error: --jobs must be >= 0, got -1\n")
+    # --jobs 0 still means the default worker count, here from WRAMSEY_JOBS.
+    monkeypatch.setenv("WRAMSEY_JOBS", "1")
+    code, out, _ = run_cli(
+        capsys, "--stable", "--jobs", "0", "wram", "--exhaustive", "--n", "5", "--k", "3"
+    )
+    assert code == 0
+    assert "value 2/1" in out
+
+
 def test_wram_capability_exit(capsys):
     code, _, err = run_cli(
         capsys, "--stable", "--jobs", "1", "wram", "--n", "9", "--k", "3", "--exhaustive"

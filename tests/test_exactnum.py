@@ -22,7 +22,7 @@ from wramsey.exactnum import (
     solve_lp,
     solve_unit_program,
 )
-from wramsey.graphs import Graph, TwoColoring
+from wramsey.graphs import Graph, TwoColoring, all_edges
 
 
 def test_single_binding_constraint():
@@ -387,18 +387,32 @@ def test_pinned_witness_r_induced_dense_8(monkeypatch):
 
 
 def test_pinned_witness_weight_lp_k7_class_k4(monkeypatch):
-    # The class representative at index 261 of enumerate_colorings(7).
+    # The class representative at index 261 of enumerate_colorings(7).  The
+    # weight LP is solved as a red block, then a blue block; the pins are
+    # those of the joint program over all 21 edges (rows: each 4-set's red
+    # row, then its blue row), reassembled from the two blocks.
+    c = TwoColoring(Graph(7, 7090))
     seen = _capture_lp(monkeypatch, exactnum)
-    value, _ = weighted_ramsey.r_of_coloring(TwoColoring(Graph(7, 7090)), 4)
-    prob, sol = seen[-1]
-    assert (prob.num_vars, len(prob.constraints)) == (21, 69)
-    assert value == sol.optimum == F(157, 30)
-    assert [str(v) for v in sol.primal] == [
+    value, _ = weighted_ramsey.r_of_coloring(c, 4)
+    (red_prob, red_sol), (blue_prob, blue_sol) = seen
+    assert (red_prob.num_vars, len(red_prob.constraints)) == (8, 34)
+    assert (blue_prob.num_vars, len(blue_prob.constraints)) == (13, 35)
+    assert value == red_sol.optimum + blue_sol.optimum == F(157, 30)
+    weight = dict(zip(c.red.edges(), red_sol.primal))
+    weight.update(zip(c.blue.edges(), blue_sol.primal))
+    assert [str(weight[e]) for e in all_edges(7)] == [
         "1/3", "2/5", "1/6", "1/3", "1/5", "2/5", "1/3", "1/5", "2/5", "2/5",
         "1/6", "1/5", "1/5", "1/3", "1/6", "0", "1/6", "1/3", "1/3", "1/6",
         "0",
     ]
-    assert _nonzero(sol.dual) == {
+    red_dual, blue_dual = iter(red_sol.dual), iter(blue_sol.dual)
+    dual = []
+    for subset in combinations(range(7), 4):
+        for graph, block in ((c.red, red_dual), (c.blue, blue_dual)):
+            if graph.induced_edges(subset):
+                dual.append(next(block))
+    assert len(dual) == 69
+    assert _nonzero(dual) == {
         4: "2/5", 5: "1/3", 7: "1/3", 13: "1/6", 17: "1/6", 18: "2/5",
         24: "1/5", 28: "1/5", 30: "1/5", 33: "1/2", 35: "1/3", 40: "4/5",
         51: "1/3", 52: "1/5", 65: "1/6", 67: "1/6", 68: "1/3",

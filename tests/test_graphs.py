@@ -124,6 +124,35 @@ def test_mono_triangle_free_k5():
     assert mono == 0
 
 
+def test_induced_rows_counts():
+    # n = k with both colors present: exactly one red and one blue row.
+    c = TwoColoring.from_red_edges(5, [(0, 1)])
+    assert len(c.red.induced_rows(5)) == len(c.blue.induced_rows(5)) == 1
+
+    c = TwoColoring.monochromatic(5)
+    assert len(c.red.induced_rows(3)) == 10
+    assert c.blue.induced_rows(3) == []
+
+    pent = mono_triangle_free_k5()
+    assert len(pent.red.induced_rows(3)) + len(pent.blue.induced_rows(3)) == 20
+    # Oracle: every triangle of the pentagon coloring sees both colors.
+    for tri in itertools.combinations(range(5), 3):
+        assert 1 <= len(pent.red.induced_edges(tri)) <= 2
+
+
+def test_induced_rows_are_the_nonempty_induced_edge_sets():
+    c = mono_triangle_free_k5()
+    graphs = [c.red, c.blue, Graph(7, 7090), Graph(7, 7090).complement()]
+    for g in graphs:
+        for k in range(3, g.n + 1):
+            edges = g.edges()
+            rows = [(s, tuple(edges[i] for i in row)) for s, row in g.induced_rows(k)]
+            expected = [(s, g.induced_edges(s))
+                        for s in itertools.combinations(range(g.n), k)
+                        if g.induced_edges(s)]
+            assert rows == expected
+
+
 def test_balanced_blowup_structure():
     base = mono_triangle_free_k5()
     blown = balanced_blowup(base, 10)

@@ -1,6 +1,7 @@
 """Weight LP over colorings, exhaustive search, monotone chain."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +12,10 @@ from wramsey.errors import (
     ContractViolationError,
     InputError,
 )
+from wramsey.exactnum import Relation, Sense, solve_unit_program
 from wramsey.graphs import (
     TwoColoring,
+    all_edges,
     balanced_blowup,
     enumerate_colorings,
     mono_triangle_free_k5,
@@ -20,11 +23,9 @@ from wramsey.graphs import (
 )
 from wramsey.packing import r_induced
 from wramsey.weighted_ramsey import (
-    Color,
     _best_over,
     WeightAssignment,
     WramResult,
-    build_constraints,
     check_monotonicity,
     r_of_coloring,
     wram,
@@ -36,33 +37,17 @@ def both_colors_k(n: int) -> TwoColoring:
     return TwoColoring.from_red_edges(n, [(0, 1)])
 
 
-def test_build_constraints_counts():
-    # n = k with both colors present: exactly one red and one blue row.
-    cs = build_constraints(both_colors_k(5), 5)
-    assert len(cs.constraints) == 2
-
-    cs = build_constraints(TwoColoring.monochromatic(5), 3)
-    assert len(cs.constraints) == 10
-    assert all(mc.color is Color.RED for mc in cs.constraints)
-
-    pent = mono_triangle_free_k5()
-    cs = build_constraints(pent, 3)
-    assert len(cs.constraints) == 20
-    # Oracle: every triangle of the pentagon coloring sees both colors.
-    for tri in itertools.combinations(range(5), 3):
-        assert 1 <= len(pent.red.induced_edges(tri)) <= 2
-
-
-def test_build_constraints_edges_are_maximal_mono_sets():
-    c = mono_triangle_free_k5()
-    for mc in build_constraints(c, 4).constraints:
-        graph = c.red if mc.color is Color.RED else c.blue
-        assert set(mc.edges) == set(graph.induced_edges(mc.vertices))
-
-
-def test_build_constraints_range():
-    with pytest.raises(InputError):
-        build_constraints(both_colors_k(4), 5)
+def test_r_of_coloring_range_before_cap():
+    with pytest.raises(InputError, match="need 3 <= k <= n, got k=5, n=4"):
+        r_of_coloring(both_colors_k(4), 5)
+    with pytest.raises(InputError, match="need 3 <= k <= n, got k=2, n=4"):
+        r_of_coloring(both_colors_k(4), 2)
+    # Past the n = 10 cap, an invalid k is still an input error, not a
+    # capability one.
+    with pytest.raises(InputError, match="need 3 <= k <= n, got k=12, n=11"):
+        r_of_coloring(TwoColoring.monochromatic(11), 12)
+    with pytest.raises(CapabilityError, match="weight LP capped at n=10"):
+        r_of_coloring(TwoColoring.monochromatic(11), 5)
 
 
 def test_r_of_coloring_all_red_k5():
@@ -187,16 +172,57 @@ def test_optimal_weights_rescale_to_full_total():
     factor = F(10) / value
     scaled = weights.scaled(factor)
     assert scaled.total() == 10
-    for mc in build_constraints(c, 3).constraints:
-        assert sum(scaled[e] for e in mc.edges) <= factor
+    for tri in itertools.combinations(range(5), 3):
+        for graph in (c.red, c.blue):
+            assert sum(scaled[e] for e in graph.induced_edges(tri)) <= factor
 
 
 def test_duality_bridge_small():
-    # For k = 3 the weight LP splits by color into the two covering LPs.
-    for n in (4, 5):
+    # For k = 3 the weight LP splits by color into the two covering LPs:
+    # the primal restricted to one color is that color's block optimum,
+    # phi_3, the LP dual of r_induced.
+    for n in range(3, 7):
         for c in enumerate_colorings(n):
-            lhs, _ = r_of_coloring(c, 3)
-            assert lhs == r_induced(c.red)[0] + r_induced(c.blue)[0]
+            lhs, weights = r_of_coloring(c, 3)
+            blocks = [r_induced(graph)[0] for graph in (c.red, c.blue)]
+            assert lhs == sum(blocks)
+            for graph, block in zip((c.red, c.blue), blocks):
+                assert sum((weights[e] for e in graph.edges()), F(0)) == block
+
+
+def test_monochromatic_closed_form():
+    # One block only: every k-set caps its C(k,2) edges, and the uniform
+    # weight 1/C(k,2) is optimal by symmetry.
+    for n in range(3, 8):
+        for k in range(3, n + 1):
+            value, weights = r_of_coloring(TwoColoring.monochromatic(n), k)
+            assert value == weights.total() == F(n * (n - 1), k * (k - 1))
+
+
+def _joint_weight_lp(c: TwoColoring, k: int) -> tuple[F, WeightAssignment]:
+    """Oracle: the weight LP as one program over every edge of K_n, with
+    each k-set's red row followed by its blue row."""
+    edges = all_edges(c.n)
+    position = {e: i for i, e in enumerate(edges)}
+    rows = []
+    for subset in itertools.combinations(range(c.n), k):
+        for graph in (c.red, c.blue):
+            row = [position[e] for e in graph.induced_edges(subset)]
+            if row:
+                rows.append(row)
+    optimum, primal = solve_unit_program(
+        len(edges), rows, Sense.MAX, Relation.LE, "joint weight LP"
+    )
+    return optimum, WeightAssignment(c.n, dict(zip(edges, primal)))
+
+
+def test_color_blocks_match_the_joint_program():
+    cases = [(c, k) for n in range(3, 7) for c in enumerate_colorings(n)
+             for k in range(3, n + 1)]
+    sample = random.Random(6).sample(enumerate_colorings(7), 12)
+    cases += [(c, k) for c in sample for k in (3, 4)]
+    for c, k in cases:
+        assert r_of_coloring(c, k) == _joint_weight_lp(c, k)
 
 
 def test_weight_assignment_validation():
