@@ -215,6 +215,17 @@ def verify_weighting(c: TwoColoring, k: int, w: WeightAssignment) -> None:
     extend(0, 0, 0, [0] * n, [0] * n)
 
 
+def _certified(
+    what: str, coloring: TwoColoring, k: int, weights: WeightAssignment, expected: Fraction
+) -> tuple[TwoColoring, WeightAssignment, Fraction]:
+    """Check a construction's total against its closed form, then verify it."""
+    total = weights.total()
+    if total != expected:
+        raise CertificateError(f"{what} weighting totals {total}, not {expected}")
+    verify_weighting(coloring, k, weights)
+    return coloring, weights, total
+
+
 def bipartite_total_weight(n: int) -> Fraction:
     """Closed-form total of the k=4 certificate: (5/24)C(n,2) + (1/24)floor(n/2)."""
     pairs = Fraction(n * (n - 1), 2)
@@ -243,12 +254,7 @@ def construction_k4(n: int) -> tuple[TwoColoring, WeightAssignment, Fraction]:
             for u, v in all_edges(n)
         },
     )
-    total = weights.total()
-    expected = bipartite_total_weight(n)
-    if total != expected:
-        raise CertificateError(f"bipartite weighting totals {total}, not {expected}")
-    verify_weighting(coloring, 4, weights)
-    return coloring, weights, total
+    return _certified("bipartite", coloring, 4, weights, bipartite_total_weight(n))
 
 
 def blowup_total_weight(n: int, k: int) -> Fraction:
@@ -285,9 +291,4 @@ def construction_blowup(
             for u, v in all_edges(n)
         },
     )
-    total = weights.total()
-    expected = blowup_total_weight(n, k)
-    if total != expected:
-        raise CertificateError(f"blow-up weighting totals {total}, not {expected}")
-    verify_weighting(coloring, k, weights)
-    return coloring, weights, total
+    return _certified("blow-up", coloring, k, weights, blowup_total_weight(n, k))

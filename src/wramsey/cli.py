@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from .packing import (
     tau_integral_family,
     tau_star,
 )
-from .weighted_ramsey import WramResult, default_jobs, wram, wram_for_colorings
+from .weighted_ramsey import wram, wram_for_colorings
 
 
 def format_rational(x: Fraction) -> str:
@@ -122,23 +123,8 @@ def _render_text(report: RunReport, out) -> None:
         out.write(f"elapsed_ms {report.elapsed_ms}\n")
 
 
-def _wram_payload(res: WramResult) -> dict:
-    weights = {
-        f"{u} {v}": format_rational(w)
-        for (u, v), w in sorted(res.witness_weights.weights.items())
-    }
-    return {
-        "value": format_rational(res.value),
-        "r_value": format_rational(res.r_value),
-        "classes": res.num_colorings,
-        "partial": res.partial,
-        "witness_coloring": format_coloring(res.witness_coloring),
-        "witness_weights": weights,
-    }
-
-
 def _cmd_wram(args) -> RunReport:
-    jobs = args.jobs or default_jobs()
+    jobs = args.jobs or os.cpu_count() or 1
     if args.exhaustive == (args.file is not None):
         raise InputError("choose exactly one of --exhaustive or --file")
     if args.exhaustive:
@@ -153,16 +139,18 @@ def _cmd_wram(args) -> RunReport:
             raise InputError(f"file contains colorings with n != {args.n}")
         res = wram_for_colorings(colorings, args.k, jobs=jobs)
         inputs = {"n": res.n, "k": args.k, "mode": f"file {args.file}"}
-    payload = _wram_payload(res)
     result = {
-        "value": payload["value"],
-        "r_value": payload["r_value"],
-        "classes": payload["classes"],
-        "partial": payload["partial"],
-        "witness_coloring": payload["witness_coloring"],
+        "value": format_rational(res.value),
+        "r_value": format_rational(res.r_value),
+        "classes": res.num_colorings,
+        "partial": res.partial,
+        "witness_coloring": format_coloring(res.witness_coloring),
     }
     if args.json:
-        result = payload
+        result["witness_weights"] = {
+            f"{u} {v}": format_rational(w)
+            for (u, v), w in sorted(res.witness_weights.weights.items())
+        }
     return RunReport("wram", inputs, result)
 
 
@@ -191,60 +179,50 @@ def _cmd_packing(args) -> RunReport:
     return RunReport("packing", {"graph": args.graph, "stat": args.stat}, result)
 
 
-# Largest kmax of every bounds table.  alpha, the costliest, takes 14 s and
-# 258 MB at kmax 1000 on a 2-core machine (turan 1.4 s, ck and lk 0.2 s).
+# Largest kmax of every bounds table.  alpha, the costliest, takes 12 s and
+# 82 MB at kmax 1000 on a 2-core machine (turan 0.5 s, ck and lk 0.2 s).
 _KMAX_CAP = 1000
 
 
-def _bounds_rows(table: str, kmax: int) -> tuple[list[str], list[list[str]]]:
+def _bounds_lines(table: str, kmax: int):
+    """Yield a bounds table as CSV: the header line, then one line per row."""
     if kmax > _KMAX_CAP:
         raise CapabilityError(f"bounds tables capped at kmax = {_KMAX_CAP}")
     if table == "turan":
-        header = ["k", "i", "t"]
-        rows = [
-            [str(k), str(i), str(turan_number(k, i))]
-            for k in range(3, kmax + 1)
-            for i in range(2, k + 1)
-        ]
+        yield "k,i,t\n"
+        for k in range(3, kmax + 1):
+            for i in range(2, k + 1):
+                yield f"{k},{i},{turan_number(k, i)}\n"
     elif table == "alpha":
-        header = ["k", "i", "alpha", "alpha_decimal"]
-        rows = []
+        yield "k,i,alpha,alpha_decimal\n"
         for k in range(3, kmax + 1):
             for i in range(3, k + 1):
                 gap = turan_ratio_gap(k, i)
-                rows.append([str(k), str(i), format_rational(gap), format_decimal(gap)])
+                yield f"{k},{i},{format_rational(gap)},{format_decimal(gap)}\n"
     elif table == "ck":
-        header = ["k", "c_k", "c_k_decimal"]
-        rows = []
+        yield "k,c_k,c_k_decimal\n"
         for k in range(4, kmax + 1):
             ck = density_coefficient(k)
-            rows.append([str(k), format_rational(ck), format_decimal(ck)])
+            yield f"{k},{format_rational(ck)},{format_decimal(ck)}\n"
     elif table == "lk":
-        header = ["k", "c_k", "L_k", "U_k", "L_k_decimal", "U_k_decimal"]
-        rows = []
+        yield "k,c_k,L_k,U_k,L_k_decimal,U_k_decimal\n"
         for k in range(4, kmax + 1):
             rep = bounds_report(k)
-            rows.append([
-                str(k),
-                format_rational(rep.c_k),
-                format_rational(rep.lower_bound),
-                format_rational(rep.upper_bound),
-                format_decimal(rep.lower_bound),
-                format_decimal(rep.upper_bound),
-            ])
+            yield (
+                f"{k},{format_rational(rep.c_k)},{format_rational(rep.lower_bound)},"
+                f"{format_rational(rep.upper_bound)},{format_decimal(rep.lower_bound)},"
+                f"{format_decimal(rep.upper_bound)}\n"
+            )
     else:
         raise InputError(f"unknown table {table!r}")
-    return header, rows
 
 
 def _cmd_bounds(args) -> RunReport:
-    header, rows = _bounds_rows(args.table, args.kmax)
-    csv_text = ",".join(header) + "\n"
-    csv_text += "".join(",".join(row) + "\n" for row in rows)
+    csv_text = "".join(_bounds_lines(args.table, args.kmax))
     return RunReport(
         "bounds",
         {"table": args.table, "kmax": args.kmax},
-        {"rows": len(rows), "csv": csv_text},
+        {"rows": csv_text.count("\n") - 1, "csv": csv_text},
     )
 
 
@@ -292,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=0,
-        help="worker count for exhaustive searches (default: WRAMSEY_JOBS or all cores)",
+        help="worker count for exhaustive searches (default 0: all cores)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -359,17 +359,22 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_header(line: str, what: str) -> int:
+    """The vertex count of an ``n <count>`` header line of a ``what`` record."""
+    head = line.split()
+    if len(head) != 2 or head[0] != "n":
+        raise InputError(f"bad {what} header: {line!r}")
+    try:
+        return int(head[1])
+    except ValueError as exc:
+        raise InputError(f"bad vertex count: {head[1]!r}") from exc
+
+
 def parse_graph(text: str) -> Graph:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise InputError("empty graph text")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "n":
-        raise InputError(f"bad graph header: {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError as exc:
-        raise InputError(f"bad vertex count: {head[1]!r}") from exc
+    n = _parse_header(lines[0], "graph")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -431,13 +436,7 @@ def parse_colorings(text: str) -> list[TwoColoring]:
     records: list[TwoColoring] = []
     pos = 0
     while pos < len(lines):
-        head = lines[pos].split()
-        if len(head) != 2 or head[0] != "n":
-            raise InputError(f"bad coloring header: {lines[pos]!r}")
-        try:
-            n = int(head[1])
-        except ValueError as exc:
-            raise InputError(f"bad vertex count: {head[1]!r}") from exc
+        n = _parse_header(lines[pos], "coloring")
         end = pos + 1 + n * (n - 1) // 2
         records.append(_parse_coloring_lines(n, lines[pos + 1:end]))
         pos = end

@@ -27,10 +27,10 @@ each block.  The final bases, the primal and the dual are the same.
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from multiprocessing import Pool
 
 from .errors import (
@@ -124,14 +124,22 @@ def _search_worker(args: tuple[int, int, int]):
     return r_of_coloring(TwoColoring(Graph(n, red_mask)), k)
 
 
+# Colorings handed to a pool worker at a time.
+_CHUNK = 8
+
+
 def _best_over(colorings: list[TwoColoring], k: int,
                jobs: int | None) -> tuple[Fraction, TwoColoring, WeightAssignment]:
-    """Maximize r over the given colorings; first maximizer wins ties."""
+    """Maximize r over the given colorings; first maximizer wins ties.
+
+    At most one worker per chunk is started; one worker means a serial run.
+    """
     tasks = [(c.n, c.red.mask, k) for c in colorings]
-    parallel = jobs is not None and jobs > 1
+    workers = min(jobs or 1, ceil(len(tasks) / _CHUNK))
+    parallel = workers > 1
     best = None
-    with Pool(processes=jobs) if parallel else nullcontext() as pool:
-        results = (pool.imap(_search_worker, tasks, chunksize=8) if parallel
+    with Pool(processes=workers) if parallel else nullcontext() as pool:
+        results = (pool.imap(_search_worker, tasks, chunksize=_CHUNK) if parallel
                    else map(_search_worker, tasks))
         for c, (value, weights) in zip(colorings, results):
             if best is None or value > best[0]:
@@ -139,16 +147,6 @@ def _best_over(colorings: list[TwoColoring], k: int,
     if best is None:
         raise ContractViolationError("no coloring to maximize r over")
     return best
-
-
-def default_jobs() -> int:
-    env = os.environ.get("WRAMSEY_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise InputError(f"bad WRAMSEY_JOBS value: {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def _wram_result(colorings: list[TwoColoring], k: int, jobs: int | None,

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, determinism, JSON round-trip."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -89,7 +90,7 @@ def test_wram_flag_validation(capsys):
     assert "error" in err
 
 
-def test_negative_jobs_is_an_input_error(capsys, monkeypatch, k3_graph_file):
+def test_negative_jobs_is_an_input_error(capsys, k3_graph_file):
     code, out, err = run_cli(
         capsys, "--stable", "--jobs", "-3", "wram", "--exhaustive", "--n", "5", "--k", "3"
     )
@@ -97,8 +98,6 @@ def test_negative_jobs_is_an_input_error(capsys, monkeypatch, k3_graph_file):
     # The worker count is a global option: every command rejects it.
     code, out, err = run_cli(capsys, "--jobs", "-1", "packing", "--graph", k3_graph_file)
     assert (code, out, err) == (2, "", "error: --jobs must be >= 0, got -1\n")
-    # --jobs 0 still means the default worker count, here from WRAMSEY_JOBS.
-    monkeypatch.setenv("WRAMSEY_JOBS", "1")
     code, out, _ = run_cli(
         capsys, "--stable", "--jobs", "0", "wram", "--exhaustive", "--n", "5", "--k", "3"
     )
@@ -323,3 +322,19 @@ def test_readme_examples_match_pinned_output(capsys, name, argv):
     code, out, err = run_cli(capsys, "--stable", "--json", *argv)
     assert (code, err) == (0, "")
     assert out == (_PINNED / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("table, as_json, digest", [
+    ("turan", False, "6267a7ca2efaa9975258b58d19ca01419067e46567bc1506dbdb4cb2a52f1547"),
+    ("turan", True, "c5f974b87acc559d9765312efefae000b13d2bf020f655ac9d2f6789c1aceba1"),
+    ("alpha", False, "66a9793e07f65281a6cb5c5c3e7b1a3337e49f525270c9d7aab75ea05e0335b0"),
+    ("alpha", True, "d9c9983f10faed1659deb078247257d56304e536e097bcea017005cb456adc1c"),
+    ("ck", False, "662a3647111b51b54555b5d3aa4dfd6816f9f5b13bfc4edc11b1de7a50609f4f"),
+    ("ck", True, "4cbe9ec2ae921e3e130e3b4eccf9a80a60c2a358f7b2b6cad16f3cb10545af63"),
+])
+def test_bounds_tables_match_pinned_digest(capsys, table, as_json, digest):
+    # sha256 of the --stable stdout; the full tables are too large to pin as files.
+    argv = ["--json"] * as_json + ["bounds", "--table", table, "--kmax", "100"]
+    code, out, err = run_cli(capsys, "--stable", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from wramsey import weighted_ramsey
 from wramsey.errors import (
     CapabilityError,
     CertificateError,
@@ -122,6 +123,35 @@ def test_wram_parallel_matches_serial():
     assert parallel.witness_coloring == serial.witness_coloring
 
 
+def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(weighted_ramsey, "Pool", FakePool)
+    serial = wram(5, 3, jobs=1)
+    # 6 classes at n = 4 fill one chunk of 8: no pool at all.
+    assert wram(4, 3, jobs=8).value == wram(4, 3).value
+    assert started == []
+    # 18 classes at n = 5 fill 3 chunks.
+    for jobs, workers in ((8, 3), (2, 2)):
+        res = wram(5, 3, jobs=jobs)
+        assert started.pop() == workers
+        assert (res.value, res.witness_coloring) == (serial.value, serial.witness_coloring)
+    assert started == []
+
+
 def test_wram_for_colorings_single_candidates():
     res = wram_for_colorings([mono_triangle_free_k5()], 3)
     assert res.r_value == 5
@@ -233,18 +263,6 @@ def test_weight_assignment_validation():
     w = WeightAssignment(4, {(0, 1): F(1, 2)})
     assert w.total() == F(1, 2)
     assert w[(2, 3)] == 0
-
-
-def test_jobs_env_fallback(monkeypatch):
-    from wramsey.weighted_ramsey import default_jobs
-
-    monkeypatch.setenv("WRAMSEY_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("WRAMSEY_JOBS", "zero?")
-    with pytest.raises(InputError):
-        default_jobs()
-    monkeypatch.delenv("WRAMSEY_JOBS")
-    assert default_jobs() >= 1
 
 
 def test_inconsistent_wram_result_is_a_certificate_failure():
