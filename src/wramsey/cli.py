@@ -9,6 +9,7 @@ and 4 on a failed certificate.  Rationals are rendered as ``p/q``.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -114,7 +115,8 @@ def _render_text(report: RunReport, out) -> None:
         out.write(f"{key} {report.inputs[key]}\n")
     for key, value in report.result.items():
         if isinstance(value, str) and "\n" in value:
-            out.write(f"{key}:\n{value}")
+            out.write(f"{key}:\n")
+            out.write(value)
             if not value.endswith("\n"):
                 out.write("\n")
         else:
@@ -218,11 +220,17 @@ def _bounds_lines(table: str, kmax: int):
 
 
 def _cmd_bounds(args) -> RunReport:
-    csv_text = "".join(_bounds_lines(args.table, args.kmax))
+    # Written line by line into one buffer: joining the generator would
+    # hold every line string in a list beside the text.
+    csv = io.StringIO()
+    rows = -1  # the header line is not a row
+    for line in _bounds_lines(args.table, args.kmax):
+        csv.write(line)
+        rows += 1
     return RunReport(
         "bounds",
         {"table": args.table, "kmax": args.kmax},
-        {"rows": csv_text.count("\n") - 1, "csv": csv_text},
+        {"rows": rows, "csv": csv.getvalue()},
     )
 
 

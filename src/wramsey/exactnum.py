@@ -6,19 +6,25 @@ every arithmetic operation is exact.  All linear programs in this package
 take and return these rationals, so primal and dual certificates can be
 checked with straight equality instead of tolerances.
 
-The solver is a dense two-phase simplex with Bland's anti-cycling pivot
-rule.  Variables are nonnegative; constraints may be <=, >= or =.  On an
-OPTIMAL result the solution carries a primal vector and one dual value per
+The solver is a two-phase simplex with Bland's anti-cycling pivot rule.
+Variables are nonnegative; constraints may be <=, >= or =.  On an OPTIMAL
+result the solution carries a primal vector and one dual value per
 constraint, extracted from the final basis, so strong duality is checkable
 without a second solve.
 
 Inside the solver the tableau is fraction-free (Edmonds 1967; Bareiss
 1968): rows scaled to integers, held as Python ``int`` numerators over one
-positive common denominator, the determinant of the current basis.  Every
-pivot keeps the integer tableau equal to that denominator times the
-rational tableau, so the pivot path, and with it every primal and dual
-witness, is the one the rational simplex would take.  Rationals appear
-again only at the boundary, when the solution is read off.
+positive common denominator d, the determinant of the current basis.
+Every pivot keeps the integer tableau equal to d times the rational
+tableau.  The tableau is also condensed: a basic column is always d times
+a unit vector, so only the nonbasic columns are kept, each labelled by its
+variable id, beside the right-hand side.  A pivot updates them as the full
+tableau would and turns the entering column into the column of the leaving
+variable.  Bland's rule picks by variable id, the ratio test reads the
+same column and the right-hand side, and a basic column, whose reduced
+cost is zero, is never a candidate, so the pivot path, and with it every primal and dual witness, is
+the one the rational simplex on the full tableau would take.  Rationals
+appear again only at the boundary, when the solution is read off.
 
 ``solve_unit_program`` builds, solves and certifies the one shape every
 program of the package has: a 0/1 matrix, unit right-hand sides and costs.
@@ -37,6 +43,7 @@ from .errors import CapabilityError, CertificateError, InputError
 Rational = Fraction
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 RationalLike = Union[Fraction, int, str]
 
@@ -123,37 +130,47 @@ def _validate(problem: LpProblem) -> None:
                 raise InputError(f"constraint {row_no} references variable {idx}")
 
 
-def _eliminate(row: list[int], prow: list[int], p: int, f: int,
-               d: int) -> list[int]:
-    """One row of a fraction-free pivot; every division by d is exact."""
+def _eliminate(row: list[int], prow: list[int], p: int, f: int, d: int,
+               c: int) -> list[int]:
+    """One row of a condensed fraction-free pivot on column c.
+
+    Every division by d is exact.  Column c turns into the column of the
+    leaving variable, where the row holds -f.
+    """
     if p == d:
         # (d*a - f*b) / d = a - f*b/d: only entries under a nonzero move.
         if not f:
             return row
-        return [a - f * b // d if b else a for a, b in zip(row, prow)]
-    if not f:
+        row = [a - f * b // d if b else a for a, b in zip(row, prow)]
+    elif f:
+        row = [(p * a - f * b) // d for a, b in zip(row, prow)]
+    else:
         return [p * a // d for a in row]
-    return [(p * a - f * b) // d for a, b in zip(row, prow)]
+    row[c] = -f
+    return row
 
 
 def _pivot(rows: list[list[int]], orow: list[int] | None, basis: list[int],
-           d: int, r: int, c: int) -> int:
-    """Bareiss pivot on (r, c); returns the new common denominator.
+           nb: list[int], d: int, r: int, c: int) -> int:
+    """Bareiss pivot on (r, c) of the condensed tableau; returns the new d.
 
     With p = rows[r][c], every other row (and the objective row) becomes
-    (p * row - row[c] * rows[r]) / d, the pivot row stays as it is, and p
-    is the new denominator.  The division is exact by Sylvester's identity.
-    A negative p, possible only when an artificial is driven out of the
-    basis, negates the tableau so that the denominator stays positive.
+    (p * row - row[c] * rows[r]) / d, exact by Sylvester's identity, and
+    the pivot row keeps its entries.  Column c then holds the leaving
+    variable, whose dense column was d * e_r: -row[c] in every other row and
+    d in row r.  p is the new denominator.  A negative p, possible only when
+    an artificial is driven out of the basis, negates the tableau so that
+    the denominator stays positive.
     """
     prow = rows[r]
     p = prow[c]
     for i, row in enumerate(rows):
         if i != r:
-            rows[i] = _eliminate(row, prow, p, row[c], d)
+            rows[i] = _eliminate(row, prow, p, row[c], d, c)
     if orow is not None:
-        orow[:] = _eliminate(orow, prow, p, orow[c], d)
-    basis[r] = c
+        orow[:] = _eliminate(orow, prow, p, orow[c], d, c)
+    prow[c] = d
+    basis[r], nb[c] = nb[c], basis[r]
     if p < 0:
         for i, row in enumerate(rows):
             rows[i] = [-a for a in row]
@@ -163,23 +180,31 @@ def _pivot(rows: list[list[int]], orow: list[int] | None, basis: list[int],
     return p
 
 
+def _first_column(nb: list[int], entries: list[int], limit: int,
+                  positive: bool) -> int:
+    """Column of the smallest variable id below limit whose entry is
+    positive (any nonzero entry if not ``positive``); -1 if none is."""
+    first, col = limit, -1
+    for j, (v, a) in enumerate(zip(nb, entries)):
+        if v < first and (a > 0 if positive else a):
+            first, col = v, j
+    return col
+
+
 _MAX_PIVOTS = 500_000
 
 
 def _run_simplex(rows: list[list[int]], orow: list[int], basis: list[int],
-                 allowed: list[int], d: int) -> tuple[str, int]:
-    """Bland's rule: smallest eligible column, smallest basic index on ties.
+                 nb: list[int], art_start: int, d: int) -> tuple[str, int]:
+    """Bland's rule: smallest eligible variable id, smallest basic id on ties.
 
     Returns the outcome and the final common denominator.  All rows share
     the positive denominator d, so signs and ratios of numerators are those
     of the rational tableau; ratios are compared by cross-multiplication.
+    Artificials (ids from art_start) never enter.
     """
     for _ in range(_MAX_PIVOTS):
-        enter = -1
-        for j in allowed:
-            if orow[j] > 0:
-                enter = j
-                break
+        enter = _first_column(nb, orow, art_start, True)
         if enter < 0:
             return "optimal", d
         leave = -1
@@ -197,7 +222,7 @@ def _run_simplex(rows: list[list[int]], orow: list[int], basis: list[int],
                     best_b, best_a, leave = b, a, i
         if leave < 0:
             return "unbounded", d
-        d = _pivot(rows, orow, basis, d, leave, enter)
+        d = _pivot(rows, orow, basis, nb, d, leave, enter)
     raise CapabilityError(f"simplex exceeded the pivot limit of {_MAX_PIVOTS}")
 
 
@@ -217,94 +242,78 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     obj_scale = lcm(*(c.denominator for c in obj))
     cost = [c.numerator * (obj_scale // c.denominator) for c in obj]
 
-    # Each row is flipped to a nonnegative right-hand side, then multiplied
-    # by row_scale[i], the LCM of its denominators, so that it is integral.
-    # The slack and artificial columns keep their unit entries.
+    # Each row is flipped to a nonnegative right-hand side; rels holds the
+    # flipped relations.
     m = len(problem.constraints)
-    dense: list[list[int]] = []
     rels: list[Relation] = []
-    rhs: list[int] = []
     flipped: list[bool] = []
-    row_scale: list[int] = []
     for con in problem.constraints:
-        rel, b = con.relation, con.rhs
-        sign = 1
-        if b < 0:
-            sign = -1
-            rel = _FLIPPED[rel]
-        s = lcm(b.denominator, *(v.denominator for _, v in con.coeffs))
-        row = [0] * n
-        for idx, val in con.coeffs:
-            row[idx] = sign * val.numerator * (s // val.denominator)
-        dense.append(row)
-        rels.append(rel)
-        rhs.append(sign * b.numerator * (s // b.denominator))
-        flipped.append(sign < 0)
-        row_scale.append(s)
+        flip = con.rhs < 0
+        flipped.append(flip)
+        rels.append(_FLIPPED[con.relation] if flip else con.relation)
 
-    # Column layout: decisions, then one slack/surplus per inequality row,
-    # then one artificial per >=/= row.  Artificial columns are kept through
-    # phase 2 (never eligible to enter) so dual values can be read off every
-    # row's signature column.
+    # Variable ids: decisions, then one slack/surplus per inequality row,
+    # then one artificial per >=/= row.  Artificials never enter, but stay
+    # as columns once they leave so dual values can be read off every row's
+    # signature column.
     slack_col = [-1] * m
     art_col = [-1] * m
     ncols = n
     for i, rel in enumerate(rels):
-        if rel in (Relation.LE, Relation.GE):
+        if rel is not Relation.EQ:
             slack_col[i] = ncols
             ncols += 1
+    art_start = ncols
     for i, rel in enumerate(rels):
-        if rel in (Relation.GE, Relation.EQ):
+        if rel is not Relation.LE:
             art_col[i] = ncols
             ncols += 1
 
-    # The tableau holds integer numerators over one positive denominator d,
-    # the determinant of the current basis.  The starting basis is made of
-    # unit columns, so d starts at 1.
+    # The condensed tableau keeps one column per nonbasic variable, labelled
+    # by nb, plus the right-hand side; a basic column is d * e_i and carries
+    # nothing.  It starts from the unit basis (slack for <= rows, artificial
+    # for >=/= rows), so d = 1 and the columns are the decisions, then the
+    # surplus of each >= row.  Row i is multiplied by row_scale[i], the LCM
+    # of its denominators, so that it is integral; the slack, surplus and
+    # artificial entries stay units.
+    basis = [slack_col[i] if rel is Relation.LE else art_col[i]
+             for i, rel in enumerate(rels)]
+    nb = list(range(n)) + [slack_col[i] for i, rel in enumerate(rels)
+                           if rel is Relation.GE]
+    width = len(nb) + 1
     rows: list[list[int]] = []
-    for i in range(m):
-        row = dense[i] + [0] * (ncols - n) + [rhs[i]]
-        if slack_col[i] >= 0:
-            row[slack_col[i]] = 1 if rels[i] is Relation.LE else -1
-        if art_col[i] >= 0:
-            row[art_col[i]] = 1
+    row_scale: list[int] = []
+    hits = [0] * n
+    unit_row = [-1] * n
+    surplus = n
+    for i, con in enumerate(problem.constraints):
+        sign = -1 if flipped[i] else 1
+        b = con.rhs
+        s = lcm(b.denominator, *(v.denominator for _, v in con.coeffs))
+        row = [0] * width
+        for idx, val in con.coeffs:
+            a = sign * val.numerator * (s // val.denominator)
+            row[idx] = a
+            if a:
+                hits[idx] += 1
+                if a == s:
+                    unit_row[idx] = i
+        if rels[i] is Relation.GE:
+            row[surplus] = -1
+            surplus += 1
+        row[-1] = sign * b.numerator * (s // b.denominator)
         rows.append(row)
+        row_scale.append(s)
     d = 1
 
-    # Starting basis: slack for <= rows; for >=/= rows prefer a decision
-    # column whose only nonzero is an unscaled 1 (crash basis), falling back
-    # to the artificial.
-    basis = [-1] * m
-    unit_row = [-1] * ncols
-    col_hits = [0] * n
-    for row in rows:
-        for j in range(n):
-            if row[j]:
-                col_hits[j] += 1
-    for j in range(n):
-        if col_hits[j] == 1:
-            for i in range(m):
-                if rows[i][j] == row_scale[i]:
-                    unit_row[j] = i
-                    break
-    claimed = [False] * m
-    for i in range(m):
-        if rels[i] is Relation.LE:
-            basis[i] = slack_col[i]
-            claimed[i] = True
+    # Crash basis: a >=/= row takes the first decision column whose only
+    # nonzero is an unscaled 1 in that row, in place of its artificial.
+    # The pivot only rescales the other rows, and leaves them as they are
+    # when the row scale is 1.
     for j in range(n):
         i = unit_row[j]
-        if i >= 0 and not claimed[i]:
-            basis[i] = j
-            claimed[i] = True
-            if row_scale[i] != 1:
-                d = _pivot(rows, None, basis, d, i, j)
-    for i in range(m):
-        if not claimed[i]:
-            basis[i] = art_col[i]
-
-    art_start = ncols - sum(1 for c in art_col if c >= 0)
-    allowed = list(range(art_start))
+        if hits[j] == 1 and i >= 0 and basis[i] == art_col[i]:
+            d = _pivot(rows, None, basis, nb, d, i, j)
 
     art_rows = [i for i in range(m) if basis[i] == art_col[i]]
     if art_rows:
@@ -312,48 +321,45 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         # row i's artificial stands for row_scale[i] of them, so its row is
         # weighted by art_scale / row_scale[i].
         art_scale = lcm(*(row_scale[i] for i in art_rows))
-        orow1 = [0] * (ncols + 1)
+        orow1 = [0] * width
         for i in art_rows:
             w = art_scale // row_scale[i]
             orow1 = [a + w * v if v else a for a, v in zip(orow1, rows[i])]
-        for i in art_rows:
-            orow1[art_col[i]] = 0
-        _, d = _run_simplex(rows, orow1, basis, allowed, d)
+        _, d = _run_simplex(rows, orow1, basis, nb, art_start, d)
         if orow1[-1] != 0:
             return LpSolution(status=LpStatus.INFEASIBLE)
         # Drive leftover artificials out of the basis where possible; a row
         # with no eligible pivot is redundant and stays inert at zero.
         for i in art_rows:
             if basis[i] == art_col[i]:
-                for j in allowed:
-                    if rows[i][j]:
-                        d = _pivot(rows, orow1, basis, d, i, j)
-                        break
+                j = _first_column(nb, rows[i], art_start, False)
+                if j >= 0:
+                    d = _pivot(rows, None, basis, nb, d, i, j)
 
-    orow2 = [0] * (ncols + 1)
-    orow2[:n] = [d * c for c in cost]
-    for i in range(m):
-        b = basis[i]
+    orow2 = [d * cost[v] if v < n else 0 for v in nb] + [0]
+    for i, b in enumerate(basis):
         cb = cost[b] if b < n else 0
         if cb:
             orow2 = [a - cb * v if v else a for a, v in zip(orow2, rows[i])]
-    outcome, d = _run_simplex(rows, orow2, basis, allowed, d)
+    outcome, d = _run_simplex(rows, orow2, basis, nb, art_start, d)
     if outcome == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED)
 
     # Back to rationals: the numerators over d, the objective row over
-    # d * obj_scale, and each dual times its row's scale.
+    # d * obj_scale, and each dual times its row's scale.  A basic
+    # signature column has a zero reduced cost, so its dual is 0.
     value = Fraction(-orow2[-1], d * obj_scale)
     primal = [_ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
             primal[b] = Fraction(rows[i][-1], d)
 
+    col_of = {v: j for j, v in enumerate(nb)}
     dual: list[Fraction] = []
     sense_sign = 1 if maximize else -1
     for i in range(m):
-        sig = slack_col[i] if rels[i] is Relation.LE else art_col[i]
-        y = -orow2[sig] * row_scale[i]
+        j = col_of.get(slack_col[i] if rels[i] is Relation.LE else art_col[i])
+        y = 0 if j is None else -orow2[j] * row_scale[i]
         if flipped[i]:
             y = -y
         dual.append(Fraction(y * sense_sign, d * obj_scale))
@@ -450,10 +456,11 @@ def solve_unit_program(num_vars: int, rows: Iterable[Iterable[int]], sense: Sens
     CertificateError("<what> failed to certify") unless the program is
     optimal and ``check_certificates`` accepts the solution.
     """
-    problem = lp_problem(
-        num_vars, [1] * num_vars, sense,
-        [constraint(dict.fromkeys(row, 1), relation, 1) for row in rows],
-    )
+    problem = LpProblem(num_vars, (_ONE,) * num_vars, sense, tuple(
+        LpConstraint(tuple((i, _ONE) for i in sorted(set(row))), relation, _ONE)
+        for row in rows
+    ))
+    _validate(problem)
     solution = solve_lp(problem)
     if (solution.status is not LpStatus.OPTIMAL
             or not check_certificates(problem, solution)):

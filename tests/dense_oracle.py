@@ -1,0 +1,266 @@
+"""The dense fraction-free simplex, kept as a test oracle for ``exactnum``.
+
+``solve_lp`` here runs Bland's rule on the full tableau: every column of
+every decision, slack and artificial variable, plus the right-hand side,
+held as integer numerators over one positive common denominator and updated
+by Bareiss pivots.  ``exactnum.solve_lp`` keeps only the nonbasic columns
+of the same tableau, so on every program both must return the same
+``LpSolution``: status, optimum, primal and dual.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+from wramsey.errors import CapabilityError
+from wramsey.exactnum import (
+    LpProblem,
+    LpSolution,
+    LpStatus,
+    Relation,
+    Sense,
+    _validate,
+)
+
+_ZERO = Fraction(0)
+
+
+def _eliminate(row: list[int], prow: list[int], p: int, f: int,
+               d: int) -> list[int]:
+    """One row of a fraction-free pivot; every division by d is exact."""
+    if p == d:
+        # (d*a - f*b) / d = a - f*b/d: only entries under a nonzero move.
+        if not f:
+            return row
+        return [a - f * b // d if b else a for a, b in zip(row, prow)]
+    if not f:
+        return [p * a // d for a in row]
+    return [(p * a - f * b) // d for a, b in zip(row, prow)]
+
+
+def _pivot(rows: list[list[int]], orow: list[int] | None, basis: list[int],
+           d: int, r: int, c: int) -> int:
+    """Bareiss pivot on (r, c); returns the new common denominator.
+
+    With p = rows[r][c], every other row (and the objective row) becomes
+    (p * row - row[c] * rows[r]) / d, the pivot row stays as it is, and p
+    is the new denominator.  The division is exact by Sylvester's identity.
+    A negative p, possible only when an artificial is driven out of the
+    basis, negates the tableau so that the denominator stays positive.
+    """
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            rows[i] = _eliminate(row, prow, p, row[c], d)
+    if orow is not None:
+        orow[:] = _eliminate(orow, prow, p, orow[c], d)
+    basis[r] = c
+    if p < 0:
+        for i, row in enumerate(rows):
+            rows[i] = [-a for a in row]
+        if orow is not None:
+            orow[:] = [-a for a in orow]
+        p = -p
+    return p
+
+
+_MAX_PIVOTS = 500_000
+
+
+def _run_simplex(rows: list[list[int]], orow: list[int], basis: list[int],
+                 allowed: list[int], d: int) -> tuple[str, int]:
+    """Bland's rule: smallest eligible column, smallest basic index on ties.
+
+    Returns the outcome and the final common denominator.  All rows share
+    the positive denominator d, so signs and ratios of numerators are those
+    of the rational tableau; ratios are compared by cross-multiplication.
+    """
+    for _ in range(_MAX_PIVOTS):
+        enter = -1
+        for j in allowed:
+            if orow[j] > 0:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal", d
+        leave = -1
+        best_b = best_a = 0
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                b = row[-1]
+                if leave < 0:
+                    best_b, best_a, leave = b, a, i
+                    continue
+                lhs = b * best_a
+                rhs = best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    best_b, best_a, leave = b, a, i
+        if leave < 0:
+            return "unbounded", d
+        d = _pivot(rows, orow, basis, d, leave, enter)
+    raise CapabilityError(f"simplex exceeded the pivot limit of {_MAX_PIVOTS}")
+
+
+_FLIPPED = {Relation.LE: Relation.GE, Relation.GE: Relation.LE,
+            Relation.EQ: Relation.EQ}
+
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve an LP exactly on the dense tableau; status plus certificates."""
+    _validate(problem)
+    n = problem.num_vars
+    maximize = problem.sense is Sense.MAX
+    obj = [c if maximize else -c for c in problem.objective]
+    obj_scale = lcm(*(c.denominator for c in obj))
+    cost = [c.numerator * (obj_scale // c.denominator) for c in obj]
+
+    # Each row is flipped to a nonnegative right-hand side, then multiplied
+    # by row_scale[i], the LCM of its denominators, so that it is integral.
+    # The slack and artificial columns keep their unit entries.
+    m = len(problem.constraints)
+    dense: list[list[int]] = []
+    rels: list[Relation] = []
+    rhs: list[int] = []
+    flipped: list[bool] = []
+    row_scale: list[int] = []
+    for con in problem.constraints:
+        rel, b = con.relation, con.rhs
+        sign = 1
+        if b < 0:
+            sign = -1
+            rel = _FLIPPED[rel]
+        s = lcm(b.denominator, *(v.denominator for _, v in con.coeffs))
+        row = [0] * n
+        for idx, val in con.coeffs:
+            row[idx] = sign * val.numerator * (s // val.denominator)
+        dense.append(row)
+        rels.append(rel)
+        rhs.append(sign * b.numerator * (s // b.denominator))
+        flipped.append(sign < 0)
+        row_scale.append(s)
+
+    # Column layout: decisions, then one slack/surplus per inequality row,
+    # then one artificial per >=/= row.  Artificial columns are kept through
+    # phase 2 (never eligible to enter) so dual values can be read off every
+    # row's signature column.
+    slack_col = [-1] * m
+    art_col = [-1] * m
+    ncols = n
+    for i, rel in enumerate(rels):
+        if rel in (Relation.LE, Relation.GE):
+            slack_col[i] = ncols
+            ncols += 1
+    for i, rel in enumerate(rels):
+        if rel in (Relation.GE, Relation.EQ):
+            art_col[i] = ncols
+            ncols += 1
+
+    # The tableau holds integer numerators over one positive denominator d,
+    # the determinant of the current basis.  The starting basis is made of
+    # unit columns, so d starts at 1.
+    rows: list[list[int]] = []
+    for i in range(m):
+        row = dense[i] + [0] * (ncols - n) + [rhs[i]]
+        if slack_col[i] >= 0:
+            row[slack_col[i]] = 1 if rels[i] is Relation.LE else -1
+        if art_col[i] >= 0:
+            row[art_col[i]] = 1
+        rows.append(row)
+    d = 1
+
+    # Starting basis: slack for <= rows; for >=/= rows prefer a decision
+    # column whose only nonzero is an unscaled 1 (crash basis), falling back
+    # to the artificial.
+    basis = [-1] * m
+    unit_row = [-1] * ncols
+    col_hits = [0] * n
+    for row in rows:
+        for j in range(n):
+            if row[j]:
+                col_hits[j] += 1
+    for j in range(n):
+        if col_hits[j] == 1:
+            for i in range(m):
+                if rows[i][j] == row_scale[i]:
+                    unit_row[j] = i
+                    break
+    claimed = [False] * m
+    for i in range(m):
+        if rels[i] is Relation.LE:
+            basis[i] = slack_col[i]
+            claimed[i] = True
+    for j in range(n):
+        i = unit_row[j]
+        if i >= 0 and not claimed[i]:
+            basis[i] = j
+            claimed[i] = True
+            if row_scale[i] != 1:
+                d = _pivot(rows, None, basis, d, i, j)
+    for i in range(m):
+        if not claimed[i]:
+            basis[i] = art_col[i]
+
+    art_start = ncols - sum(1 for c in art_col if c >= 0)
+    allowed = list(range(art_start))
+
+    art_rows = [i for i in range(m) if basis[i] == art_col[i]]
+    if art_rows:
+        # Phase 1 minimizes the sum of the artificials of the unscaled rows:
+        # row i's artificial stands for row_scale[i] of them, so its row is
+        # weighted by art_scale / row_scale[i].
+        art_scale = lcm(*(row_scale[i] for i in art_rows))
+        orow1 = [0] * (ncols + 1)
+        for i in art_rows:
+            w = art_scale // row_scale[i]
+            orow1 = [a + w * v if v else a for a, v in zip(orow1, rows[i])]
+        for i in art_rows:
+            orow1[art_col[i]] = 0
+        _, d = _run_simplex(rows, orow1, basis, allowed, d)
+        if orow1[-1] != 0:
+            return LpSolution(status=LpStatus.INFEASIBLE)
+        # Drive leftover artificials out of the basis where possible; a row
+        # with no eligible pivot is redundant and stays inert at zero.
+        for i in art_rows:
+            if basis[i] == art_col[i]:
+                for j in allowed:
+                    if rows[i][j]:
+                        d = _pivot(rows, orow1, basis, d, i, j)
+                        break
+
+    orow2 = [0] * (ncols + 1)
+    orow2[:n] = [d * c for c in cost]
+    for i in range(m):
+        b = basis[i]
+        cb = cost[b] if b < n else 0
+        if cb:
+            orow2 = [a - cb * v if v else a for a, v in zip(orow2, rows[i])]
+    outcome, d = _run_simplex(rows, orow2, basis, allowed, d)
+    if outcome == "unbounded":
+        return LpSolution(status=LpStatus.UNBOUNDED)
+
+    # Back to rationals: the numerators over d, the objective row over
+    # d * obj_scale, and each dual times its row's scale.
+    value = Fraction(-orow2[-1], d * obj_scale)
+    primal = [_ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            primal[b] = Fraction(rows[i][-1], d)
+
+    dual: list[Fraction] = []
+    sense_sign = 1 if maximize else -1
+    for i in range(m):
+        sig = slack_col[i] if rels[i] is Relation.LE else art_col[i]
+        y = -orow2[sig] * row_scale[i]
+        if flipped[i]:
+            y = -y
+        dual.append(Fraction(y * sense_sign, d * obj_scale))
+
+    return LpSolution(
+        status=LpStatus.OPTIMAL,
+        optimum=value if maximize else -value,
+        primal=tuple(primal),
+        dual=tuple(dual),
+    )

@@ -22,7 +22,9 @@ from wramsey.exactnum import (
     solve_lp,
     solve_unit_program,
 )
-from wramsey.graphs import Graph, TwoColoring, all_edges
+from wramsey.graphs import Graph, TwoColoring, all_edges, enumerate_colorings
+
+from dense_oracle import solve_lp as dense_solve_lp
 
 
 def test_single_binding_constraint():
@@ -446,3 +448,65 @@ def test_rational_rows_keep_the_rational_pivot_path():
     assert sol.optimum == F(-2, 5)
     assert sol.primal == (0, 0, 0, 2)
     assert sol.dual == (F(-1, 20), F(-3, 10))
+
+
+@st.composite
+def _oracle_lps(draw):
+    """A small LP plus rows and columns that force the solver's side paths.
+
+    crash: a >= or = row over a fresh column with an unscaled 1 and a row
+    scale above 1, so the crash basis pivots.  redundant: a doubled copy of
+    an = row, so an artificial may stay basic after phase 1.  drive_out: an
+    = row of nonpositive entries with a zero right-hand side, whose
+    artificial leaves only in the drive-out, on a negative pivot.
+    infeasible: x0 <= 1 and x0 >= 2.  unbounded: a fresh column in no row
+    that the objective rewards.
+    """
+    prob = draw(_small_lps())
+    n = prob.num_vars
+    objective = list(prob.objective)
+    cons = list(prob.constraints)
+    extras = draw(st.sets(st.sampled_from(
+        ["crash", "redundant", "drive_out", "infeasible", "unbounded"])))
+    if "crash" in extras:
+        other = {j: draw(_SMALL_RATIONALS) for j in range(n) if draw(st.booleans())}
+        cons.append(constraint(
+            {**other, n: 1},
+            draw(st.sampled_from([Relation.GE, Relation.EQ])),
+            F(draw(st.integers(1, 5)), draw(st.sampled_from([2, 3, 4]))),
+        ))
+        objective.append(draw(_SMALL_RATIONALS))
+        n += 1
+    if "redundant" in extras:
+        row = {j: draw(st.integers(-3, 3)) for j in range(n)}
+        rhs = draw(st.integers(-4, 4))
+        cons.append(constraint(row, Relation.EQ, rhs))
+        cons.append(constraint({j: 2 * v for j, v in row.items()}, Relation.EQ, 2 * rhs))
+    if "drive_out" in extras:
+        cons.append(constraint(
+            {j: -draw(st.integers(0, 3)) for j in range(n)}, Relation.EQ, 0))
+    if "infeasible" in extras:
+        cons.append(constraint({0: 1}, Relation.LE, 1))
+        cons.append(constraint({0: 1}, Relation.GE, 2))
+    if "unbounded" in extras:
+        objective.append(1 if prob.sense is Sense.MAX else -1)
+        n += 1
+    return lp_problem(n, objective, prob.sense, cons)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_oracle_lps())
+def test_condensed_tableau_matches_dense_oracle(prob):
+    # Same status, optimum, primal and dual: the same pivot path.
+    assert solve_lp(prob) == dense_solve_lp(prob)
+
+
+def test_weight_lp_blocks_match_dense_oracle(monkeypatch):
+    seen = _capture_lp(monkeypatch, exactnum)
+    for n in range(3, 7):
+        for c in enumerate_colorings(n):
+            for k in range(3, n + 1):
+                weighted_ramsey.r_of_coloring(c, k)
+    assert len(seen) == 750
+    for prob, sol in seen:
+        assert sol == dense_solve_lp(prob)
