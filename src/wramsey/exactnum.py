@@ -125,9 +125,13 @@ def _validate(problem: LpProblem) -> None:
             f"objective has {len(problem.objective)} entries, expected {problem.num_vars}"
         )
     for row_no, con in enumerate(problem.constraints):
+        seen = set()
         for idx, _ in con.coeffs:
             if not 0 <= idx < problem.num_vars:
                 raise InputError(f"constraint {row_no} references variable {idx}")
+            if idx in seen:
+                raise InputError(f"constraint {row_no} names variable {idx} twice")
+            seen.add(idx)
 
 
 def _eliminate(row: list[int], prow: list[int], p: int, f: int, d: int,
@@ -460,7 +464,6 @@ def solve_unit_program(num_vars: int, rows: Iterable[Iterable[int]], sense: Sens
         LpConstraint(tuple((i, _ONE) for i in sorted(set(row))), relation, _ONE)
         for row in rows
     ))
-    _validate(problem)
     solution = solve_lp(problem)
     if (solution.status is not LpStatus.OPTIMAL
             or not check_certificates(problem, solution)):

@@ -102,7 +102,8 @@ class Graph:
 
     def induced_rows(self, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each k-set S with an edge in G[S], in combinations order, paired
-        with the positions in ``edges()`` of the edges of G[S]."""
+        with the ascending positions in ``edges()`` of the edges of G[S].
+        Rows of the weight LP; at k = 3, the triangles and packing members."""
         position = {e: i for i, e in enumerate(self.edges())}.get
         rows = []
         for subset in itertools.combinations(range(self.n), k):
@@ -113,10 +114,7 @@ class Graph:
         return rows
 
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(
-            t for t in itertools.combinations(range(self.n), 3)
-            if len(self.induced_edges(t)) == 3
-        )
+        return tuple(t for t, row in self.induced_rows(3) if len(row) == 3)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ Four invariants are computed exactly:
 
 The three LPs share one shape: one row per edge, over the members that
 use it, with the edge's load held at most, at least or exactly 1, and unit
-costs; ``exactnum.solve_unit_program`` solves and certifies it.
+costs; ``exactnum.solve_unit_program`` solves and certifies it.  A member
+is a vertex triple from ``Graph.induced_rows(3)`` with the positions in
+``g.edges()`` of its edges; only the witness's members become descriptors.
 
 The two minima are equal; the constructive conversions between their
 solutions, and between packings and covers, are implemented as weight
@@ -136,10 +138,11 @@ def _require_cap(g: Graph, cap: int, what: str) -> None:
 def tau_star(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     """Fractional triangle packing number with an optimal weight witness."""
     _require_cap(g, _TAU_STAR_CAP, "fractional triangle packing")
-    return _unit_program(g, [induced_descriptor(g, t) for t in g.triangles()],
+    return _unit_program(g, [m for m in g.induced_rows(3) if len(m[1]) == 3],
                          Sense.MAX, Relation.LE)
 
 
+# K_10 is the integral search's worst case: 56-64 s on a 2-core machine.
 _TAU_CAP = 10
 
 
@@ -151,32 +154,26 @@ def tau_integral(g: Graph) -> int:
 def tau_integral_family(g: Graph) -> list[tuple[int, int, int]]:
     """An explicit maximum edge-disjoint triangle family (deterministic)."""
     _require_cap(g, _TAU_CAP, "integral packing")
-    triangles = list(g.triangles())
-    if not triangles:
-        return []
-    tri_edges = [frozenset(itertools.combinations(t, 2)) for t in triangles]
-    edge_list = g.edges()
-    by_edge = {e: [i for i, es in enumerate(tri_edges) if e in es] for e in edge_list}
+    triangles = [m for m in g.induced_rows(3) if len(m[1]) == 3]
+    # Each triangle's edges as a bitmask over the edge positions.
+    masks = [sum(1 << e for e in row) for _, row in triangles]
 
     # Greedy seed so the search starts with a strong incumbent.
     best_sel: list[int] = []
-    used: set = set()
-    for i, es in enumerate(tri_edges):
-        if not es & used:
+    used = 0
+    for i, mask in enumerate(masks):
+        if not mask & used:
             best_sel.append(i)
-            used |= es
+            used |= mask
     best_len = len(best_sel)
 
-    def search(chosen: list[int], blocked: frozenset, banned: frozenset) -> None:
+    def search(chosen: list[int], dead: int) -> None:
         nonlocal best_len, best_sel
-        dead = blocked | banned
-        avail = [
-            i for i in range(len(triangles)) if not (tri_edges[i] & dead)
-        ]
-        usable: set = set()
+        avail = [i for i, mask in enumerate(masks) if not mask & dead]
+        usable = 0
         for i in avail:
-            usable |= tri_edges[i]
-        if len(chosen) + len(usable) // 3 <= best_len:
+            usable |= masks[i]
+        if len(chosen) + usable.bit_count() // 3 <= best_len:
             return
         if not avail:
             best_len = len(chosen)
@@ -184,61 +181,52 @@ def tau_integral_family(g: Graph) -> list[tuple[int, int, int]]:
             return
         # Branch on the first edge still coverable: some triangle claims it,
         # or it is written off for good.
-        pivot = next(e for e in edge_list if e in usable)
-        for i in by_edge[pivot]:
-            if tri_edges[i] & dead:
-                continue
-            chosen.append(i)
-            search(chosen, blocked | tri_edges[i], banned)
-            chosen.pop()
-        search(chosen, blocked, banned | {pivot})
+        pivot = usable & -usable
+        for i in avail:
+            if masks[i] & pivot:
+                chosen.append(i)
+                search(chosen, dead | masks[i])
+                chosen.pop()
+        search(chosen, dead | pivot)
 
-    search([], frozenset(), frozenset())
-    return [triangles[i] for i in sorted(best_sel)]
-
-
-def _induced_members(g: Graph) -> list[SubgraphDescriptor]:
-    edges = g.edges()
-    return [SubgraphDescriptor(triple, tuple(edges[i] for i in row))
-            for triple, row in g.induced_rows(3)]
+    search([], 0)
+    return [triangles[i][0] for i in sorted(best_sel)]
 
 
-def _all_members(g: Graph) -> list[SubgraphDescriptor]:
-    out = []
-    for triple in itertools.combinations(range(g.n), 3):
-        induced = g.induced_edges(triple)
-        for r in range(1, len(induced) + 1):
-            for subset in itertools.combinations(induced, r):
-                out.append(SubgraphDescriptor(triple, subset))
-    return out
-
-
-def _unit_program(g: Graph, members: list[SubgraphDescriptor], sense: Sense,
-                  relation: Relation) -> tuple[Fraction, SubgraphWeights]:
+def _unit_program(g: Graph, members: list[tuple[tuple[int, ...], tuple[int, ...]]],
+                  sense: Sense, relation: Relation) -> tuple[Fraction, SubgraphWeights]:
     """Optimize the total member weight; one row per edge some member uses."""
     if not members:
         return _ZERO, SubgraphWeights(g, {})
-    rows: dict[tuple[int, int], list[int]] = {e: [] for e in g.edges()}
-    for i, d in enumerate(members):
-        for e in d.edges:
+    rows: list[list[int]] = [[] for _ in range(g.edge_count)]
+    for i, (_, member_edges) in enumerate(members):
+        for e in member_edges:
             rows[e].append(i)
     optimum, primal = solve_unit_program(
-        len(members), [row for row in rows.values() if row], sense, relation,
+        len(members), [row for row in rows if row], sense, relation,
         "packing LP",
     )
-    return optimum, SubgraphWeights(g, dict(zip(members, primal)))
+    edges = g.edges()
+    return optimum, SubgraphWeights(g, {
+        SubgraphDescriptor(triple, tuple(edges[e] for e in member_edges)): w
+        for (triple, member_edges), w in zip(members, primal) if w
+    })
 
 
 def r_induced(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     """Minimum fractional cover of E(G) by induced 3-vertex subgraphs."""
     _require_cap(g, _R_INDUCED_CAP, "induced cover")
-    return _unit_program(g, _induced_members(g), Sense.MIN, Relation.GE)
+    return _unit_program(g, g.induced_rows(3), Sense.MIN, Relation.GE)
 
 
 def r_tilde(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     """Minimum total weight with every edge loaded exactly once."""
     _require_cap(g, _R_TILDE_CAP, "exact-load cover")
-    return _unit_program(g, _all_members(g), Sense.MIN, Relation.EQ)
+    return _unit_program(g, [
+        (triple, subset) for triple, row in g.induced_rows(3)
+        for size in range(1, len(row) + 1)
+        for subset in itertools.combinations(row, size)
+    ], Sense.MIN, Relation.EQ)
 
 
 def lift_tilde_to_induced(tw: SubgraphWeights) -> SubgraphWeights:

@@ -12,6 +12,8 @@ from scipy.optimize import linprog
 from wramsey import exactnum, packing, weighted_ramsey
 from wramsey.errors import CertificateError, InputError
 from wramsey.exactnum import (
+    LpConstraint,
+    LpProblem,
     LpSolution,
     LpStatus,
     Relation,
@@ -148,6 +150,17 @@ def test_bad_variable_index_rejected():
 def test_duplicate_indices_merge():
     con = constraint([(0, 1), (0, 2)], Relation.LE, 4)
     assert con.coeffs == ((0, F(3)),)
+
+
+def test_repeated_variable_in_a_direct_row_rejected():
+    # constraint() merges repeats; a row built directly must not name one
+    # variable twice, since solve_lp and check_certificates would read it
+    # differently.
+    row = LpConstraint(((0, F(1)), (0, F(1))), Relation.LE, F(1))
+    with pytest.raises(InputError, match="^constraint 1 names variable 0 twice$"):
+        lp_problem(1, [1], Sense.MAX, [constraint({0: 1}, Relation.LE, 2), row])
+    with pytest.raises(InputError, match="^constraint 0 names variable 0 twice$"):
+        solve_lp(LpProblem(1, (F(1),), Sense.MAX, (row,)))
 
 
 def _random_problem(rng: random.Random):

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import packing_oracle
+from wramsey import exactnum, packing
 from wramsey.errors import CapabilityError, ContractViolationError, InputError
 from wramsey.graphs import Graph, TwoColoring, mono_triangle_free_k5
 from wramsey.packing import (
@@ -461,3 +463,61 @@ def test_descriptor_validation():
         SubgraphDescriptor((0, 1, 1), ())
     with pytest.raises(InputError):
         SubgraphDescriptor((0, 1, 2), ((0, 3),))
+
+
+# -- the descriptor-based oracle --------------------------------------------
+
+def _oracle_corpus() -> list[Graph]:
+    """Every graph on 3 and 4 vertices, then seeded graphs and K_n for n = 5..9."""
+    graphs = [Graph(n, mask) for n in (3, 4) for mask in range(1 << n * (n - 1) // 2)]
+    rng = random.Random(20261018)
+    for n in range(5, 10):
+        graphs += [_random_graph(rng, n, p) for p in (F(3, 10), F(1, 2), F(4, 5)) * 2]
+        graphs.append(Graph.complete(n))
+    return graphs
+
+
+def test_triangles_and_integral_family_match_oracle():
+    for g in _oracle_corpus():
+        assert g.triangles() == packing_oracle.triangles(g)
+        assert tau_integral_family(g) == packing_oracle.tau_integral_family(g)
+
+
+@pytest.mark.parametrize("name", ["tau_star", "r_induced", "r_tilde"])
+def test_packing_lps_match_oracle(monkeypatch, name):
+    # The same LpProblems and LpSolutions, and the same witness entries in
+    # the same order; the n = 9 graphs only feed the cheaper test above.
+    solve_lp = exactnum.solve_lp
+    seen = []
+
+    def recording_solve(prob):
+        sol = solve_lp(prob)
+        seen.append((prob, sol))
+        return sol
+
+    monkeypatch.setattr(exactnum, "solve_lp", recording_solve)
+    for g in _oracle_corpus():
+        if g.n > 8:
+            continue
+        value, witness = getattr(packing, name)(g)
+        ours = seen[:]
+        seen.clear()
+        want, want_witness = getattr(packing_oracle, name)(g)
+        assert ours == seen
+        seen.clear()
+        assert value == want
+        assert list(witness.weights.items()) == list(want_witness.weights.items())
+
+
+def test_r_tilde_builds_descriptors_only_for_the_witness(monkeypatch):
+    built = []
+    post_init = SubgraphDescriptor.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SubgraphDescriptor, "__post_init__", counting_post_init)
+    _, witness = r_tilde(Graph.complete(8))
+    assert witness.weights
+    assert len(built) <= len(witness.weights)
