@@ -126,7 +126,9 @@ def _render_text(report: RunReport, out) -> None:
 
 
 def _cmd_wram(args) -> RunReport:
-    jobs = args.jobs or os.cpu_count() or 1
+    # 0 means every CPU this process may run on; all CPUs where affinity is unknown.
+    affinity = getattr(os, "sched_getaffinity", None)
+    jobs = args.jobs or (len(affinity(0)) if affinity else os.cpu_count() or 1)
     if args.exhaustive == (args.file is not None):
         raise InputError("choose exactly one of --exhaustive or --file")
     if args.exhaustive:
@@ -266,62 +268,57 @@ def _cmd_verify(args) -> RunReport:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wramsey",
-        description="Exact weighted Ramsey numbers and triangle packing invariants.",
-    )
-    parser.add_argument("--json", action="store_true", help="emit the report as JSON")
-    parser.add_argument(
-        "--stable", action="store_true",
-        help="suppress the elapsed field for byte-identical reruns",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker count for exhaustive searches (default 0: all cores)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Built once at import.  Each subcommand names its handler through
+# set_defaults(run=...), so its options and its handler are declared together.
+_PARSER = argparse.ArgumentParser(
+    prog="wramsey",
+    description="Exact weighted Ramsey numbers and triangle packing invariants.",
+)
+_PARSER.add_argument("--json", action="store_true", help="emit the report as JSON")
+_PARSER.add_argument(
+    "--stable", action="store_true",
+    help="suppress the elapsed field for byte-identical reruns",
+)
+_PARSER.add_argument(
+    "--jobs", type=int, default=0,
+    help="worker count for exhaustive searches (default 0: all cores)",
+)
+_sub = _PARSER.add_subparsers(dest="command", required=True)
 
-    p_wram = sub.add_parser("wram", help="weighted Ramsey number")
-    p_wram.add_argument("--n", type=int)
-    p_wram.add_argument("--k", type=int, required=True)
-    p_wram.add_argument("--exhaustive", action="store_true")
-    p_wram.add_argument("--file", help="coloring file (one or more records)")
+_p = _sub.add_parser("wram", help="weighted Ramsey number")
+_p.set_defaults(run=_cmd_wram)
+_p.add_argument("--n", type=int)
+_p.add_argument("--k", type=int, required=True)
+_p.add_argument("--exhaustive", action="store_true")
+_p.add_argument("--file", help="coloring file (one or more records)")
 
-    p_pack = sub.add_parser("packing", help="triangle packing/covering invariants")
-    p_pack.add_argument("--graph", required=True, help="graph file")
-    p_pack.add_argument(
-        "--stat", choices=["taustar", "tau", "r", "rtilde", "all"], default="all"
-    )
-    p_pack.add_argument("--witness", action="store_true")
+_p = _sub.add_parser("packing", help="triangle packing/covering invariants")
+_p.set_defaults(run=_cmd_packing)
+_p.add_argument("--graph", required=True, help="graph file")
+_p.add_argument(
+    "--stat", choices=["taustar", "tau", "r", "rtilde", "all"], default="all"
+)
+_p.add_argument("--witness", action="store_true")
 
-    p_bounds = sub.add_parser("bounds", help="closed-form bound tables as CSV")
-    p_bounds.add_argument("--table", choices=["turan", "alpha", "ck", "lk"], required=True)
-    p_bounds.add_argument("--kmax", type=int, required=True)
+_p = _sub.add_parser("bounds", help="closed-form bound tables as CSV")
+_p.set_defaults(run=_cmd_bounds)
+_p.add_argument("--table", choices=["turan", "alpha", "ck", "lk"], required=True)
+_p.add_argument("--kmax", type=int, required=True)
 
-    p_verify = sub.add_parser("verify", help="check a constructive certificate")
-    p_verify.add_argument("--construction", choices=["k4", "blowup"], required=True)
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--k", type=int)
-    return parser
-
-
-_HANDLERS = {
-    "wram": _cmd_wram,
-    "packing": _cmd_packing,
-    "bounds": _cmd_bounds,
-    "verify": _cmd_verify,
-}
+_p = _sub.add_parser("verify", help="check a constructive certificate")
+_p.set_defaults(run=_cmd_verify)
+_p.add_argument("--construction", choices=["k4", "blowup"], required=True)
+_p.add_argument("--n", type=int)
+_p.add_argument("--k", type=int)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         if args.jobs < 0:
             raise InputError(f"--jobs must be >= 0, got {args.jobs}")
-        report = _HANDLERS[args.command](args)
+        report = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -461,7 +461,7 @@ def solve_unit_program(num_vars: int, rows: Iterable[Iterable[int]], sense: Sens
     optimal and ``check_certificates`` accepts the solution.
     """
     problem = LpProblem(num_vars, (_ONE,) * num_vars, sense, tuple(
-        LpConstraint(tuple((i, _ONE) for i in sorted(set(row))), relation, _ONE)
+        LpConstraint(tuple((i, _ONE) for i in row), relation, _ONE)
         for row in rows
     ))
     solution = solve_lp(problem)

@@ -142,7 +142,8 @@ def tau_star(g: Graph) -> tuple[Fraction, SubgraphWeights]:
                          Sense.MAX, Relation.LE)
 
 
-# K_10 is the integral search's worst case: 56-64 s on a 2-core machine.
+# Measured on a 2-core machine: K_10 takes 2 ms and the slowest n = 10 graph
+# found, K_10 minus a perfect matching, 0.1 s; K_11 would take 74 s.
 _TAU_CAP = 10
 
 
@@ -155,8 +156,13 @@ def tau_integral_family(g: Graph) -> list[tuple[int, int, int]]:
     """An explicit maximum edge-disjoint triangle family (deterministic)."""
     _require_cap(g, _TAU_CAP, "integral packing")
     triangles = [m for m in g.induced_rows(3) if len(m[1]) == 3]
-    # Each triangle's edges as a bitmask over the edge positions.
+    # Each triangle's edges, and each vertex's star, as a bitmask over the
+    # edge positions.
     masks = [sum(1 << e for e in row) for _, row in triangles]
+    stars = [0] * g.n
+    for e, (u, v) in enumerate(g.edges()):
+        stars[u] |= 1 << e
+        stars[v] |= 1 << e
 
     # Greedy seed so the search starts with a strong incumbent.
     best_sel: list[int] = []
@@ -173,7 +179,11 @@ def tau_integral_family(g: Graph) -> list[tuple[int, int, int]]:
         usable = 0
         for i in avail:
             usable |= masks[i]
-        if len(chosen) + usable.bit_count() // 3 <= best_len:
+        # A triangle takes two edges at each of its three vertices.  Only
+        # branches that cannot beat the incumbent strictly are pruned, so the
+        # result is the first maximum family in branching order.
+        if len(chosen) + sum((usable & star).bit_count() // 2
+                             for star in stars) // 3 <= best_len:
             return
         if not avail:
             best_len = len(chosen)
@@ -476,8 +486,8 @@ def tau_min_over_colorings(n: int, fractional: bool) -> tuple[Fraction, TwoColor
     best_val: Fraction | None = None
     best_c: TwoColoring | None = None
     for c in enumerate_colorings(n):
-        stats = coloring_packing_stats(c)
-        val = stats.tau_star_sum if fractional else Fraction(stats.tau_c)
+        val = (tau_star(c.red)[0] + tau_star(c.blue)[0] if fractional
+               else Fraction(tau_integral(c.red) + tau_integral(c.blue)))
         if best_val is None or val < best_val:
             best_val, best_c = val, c
     if best_val is None or best_c is None:

@@ -1,13 +1,15 @@
 """CLI behavior: outputs, exit codes, determinism, JSON round-trip."""
 
+import argparse
 import hashlib
 import json
+import os
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from wramsey import exactnum
+from wramsey import exactnum, weighted_ramsey
 from wramsey.cli import (
     format_decimal,
     format_rational,
@@ -103,6 +105,37 @@ def test_negative_jobs_is_an_input_error(capsys, k3_graph_file):
     )
     assert code == 0
     assert "value 2/1" in out
+
+
+def test_jobs_zero_counts_only_the_cpus_this_process_may_use(capsys, monkeypatch):
+    def no_pool(processes):
+        raise AssertionError(f"a pool of {processes} workers was built")
+
+    # Four CPUs in the machine, one in this process's affinity mask.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(weighted_ramsey, "Pool", no_pool)
+    code, out, _ = run_cli(
+        capsys, "--stable", "--jobs", "0", "wram", "--exhaustive", "--n", "5", "--k", "3"
+    )
+    assert code == 0
+    assert "value 2/1" in out
+
+
+def test_main_builds_no_parser(capsys, monkeypatch, k3_graph_file):
+    # The parser is built once, at import; a call only parses.
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    for argv in (
+        ["--jobs", "1", "wram", "--n", "4", "--k", "3", "--exhaustive"],
+        ["packing", "--graph", k3_graph_file],
+        ["bounds", "--table", "ck", "--kmax", "5"],
+        ["verify", "--construction", "k4", "--n", "8"],
+    ):
+        code, _, err = run_cli(capsys, "--stable", *argv)
+        assert (code, err) == (0, "")
 
 
 def test_wram_capability_exit(capsys):

@@ -161,6 +161,8 @@ def test_repeated_variable_in_a_direct_row_rejected():
         lp_problem(1, [1], Sense.MAX, [constraint({0: 1}, Relation.LE, 2), row])
     with pytest.raises(InputError, match="^constraint 0 names variable 0 twice$"):
         solve_lp(LpProblem(1, (F(1),), Sense.MAX, (row,)))
+    with pytest.raises(InputError, match="^constraint 0 names variable 0 twice$"):
+        solve_unit_program(1, [[0, 0]], Sense.MAX, Relation.LE, "demo LP")
 
 
 def _random_problem(rng: random.Random):

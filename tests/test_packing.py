@@ -123,6 +123,15 @@ def test_tau_integral_family_is_edge_disjoint():
         used |= es
 
 
+def test_tau_integral_family_k10_is_pinned():
+    # The largest complete graph the cap allows: the greedy seed finds 10
+    # triangles, so the search must find 13 and prove that 14 do not fit.
+    assert tau_integral_family(Graph.complete(10)) == [
+        (0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8), (1, 3, 5), (1, 4, 6), (1, 7, 9),
+        (2, 3, 7), (2, 4, 8), (2, 6, 9), (3, 6, 8), (4, 5, 7), (5, 8, 9),
+    ]
+
+
 def test_tau_integral_capability_cap():
     with pytest.raises(CapabilityError):
         tau_integral(Graph.empty(11))
