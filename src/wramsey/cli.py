@@ -125,10 +125,21 @@ def _render_text(report: RunReport, out) -> None:
         out.write(f"elapsed_ms {report.elapsed_ms}\n")
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; any other bytes are an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _cmd_wram(args) -> RunReport:
-    # 0 means every CPU this process may run on; all CPUs where affinity is unknown.
+    # Workers are capped at the CPUs this process may run on (all CPUs
+    # where affinity is unknown); 0 asks for all of them.
     affinity = getattr(os, "sched_getaffinity", None)
-    jobs = args.jobs or (len(affinity(0)) if affinity else os.cpu_count() or 1)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    jobs = min(args.jobs or cpus, cpus)
     if args.exhaustive == (args.file is not None):
         raise InputError("choose exactly one of --exhaustive or --file")
     if args.exhaustive:
@@ -137,8 +148,7 @@ def _cmd_wram(args) -> RunReport:
         res = wram(args.n, args.k, jobs=jobs)
         inputs = {"n": args.n, "k": args.k, "mode": "exhaustive"}
     else:
-        with open(args.file, encoding="utf-8") as fh:
-            colorings = parse_colorings(fh.read())
+        colorings = parse_colorings(_read_text(args.file))
         if args.n is not None and any(c.n != args.n for c in colorings):
             raise InputError(f"file contains colorings with n != {args.n}")
         res = wram_for_colorings(colorings, args.k, jobs=jobs)
@@ -166,8 +176,7 @@ def _tau_family(g) -> tuple[int, SubgraphWeights]:
 
 
 def _cmd_packing(args) -> RunReport:
-    with open(args.graph, encoding="utf-8") as fh:
-        g = parse_graph(fh.read())
+    g = parse_graph(_read_text(args.graph))
     # Each statistic maps a graph to its value and a witness.  The table is
     # built per call, so a wrapper later bound to one of these names is used.
     stats = {"taustar": tau_star, "tau": _tau_family, "r": r_induced, "rtilde": r_tilde}
@@ -281,7 +290,8 @@ _PARSER.add_argument(
 )
 _PARSER.add_argument(
     "--jobs", type=int, default=0,
-    help="worker count for exhaustive searches (default 0: all cores)",
+    help="worker count for exhaustive searches, at most the CPUs this process "
+    "may run on (default 0: all of them)",
 )
 _sub = _PARSER.add_subparsers(dest="command", required=True)
 

@@ -12,19 +12,25 @@ result the solution carries a primal vector and one dual value per
 constraint, extracted from the final basis, so strong duality is checkable
 without a second solve.
 
-Inside the solver the tableau is fraction-free (Edmonds 1967; Bareiss
+Inside the solver everything is fraction-free (Edmonds 1967; Bareiss
 1968): rows scaled to integers, held as Python ``int`` numerators over one
-positive common denominator d, the determinant of the current basis.
-Every pivot keeps the integer tableau equal to d times the rational
-tableau.  The tableau is also condensed: a basic column is always d times
-a unit vector, so only the nonbasic columns are kept, each labelled by its
-variable id, beside the right-hand side.  A pivot updates them as the full
-tableau would and turns the entering column into the column of the leaving
-variable.  Bland's rule picks by variable id, the ratio test reads the
-same column and the right-hand side, and a basic column, whose reduced
-cost is zero, is never a candidate, so the pivot path, and with it every primal and dual witness, is
-the one the rational simplex on the full tableau would take.  Rationals
-appear again only at the boundary, when the solution is read off.
+positive common denominator d = |det B| of the current basis B.  No tableau
+is kept.  A basic slack, surplus or artificial is a signed unit column, so
+B is determined by its kernel K: the basic decision columns restricted to
+the rows without a basic logical.  The solver keeps d * K^-1, the basic
+values and the duals pi = c_B d B^-1 (Bixby 1992; Azulay and Pique 2001).
+Pricing walks the nonbasic ids upward and computes each reduced cost
+d * c_j - pi . a_j from the sparse column; the entering column d * B^-1 a_q
+comes from K^-1 on the kernel rows and from the basic decisions' entries
+on the other rows.  One Bareiss update of cost k^2 per pivot, for a kernel
+of order k, keeps all three equal to d times their rational values, and
+the kernel gains or loses the one row whose logical left or entered.
+These are exactly the numerators d * B^-1 A of the full tableau for the
+same basis, and Bland's rule and the ratio test compare them as the
+tableau simplex would, so the pivot path, and with it every primal and
+dual witness, is the one the rational simplex on the full tableau takes.
+Rationals appear again only at the boundary, when the solution is read
+off.
 
 ``solve_unit_program`` builds, solves and certifies the one shape every
 program of the package has: a 0/1 matrix, unit right-hand sides and costs.
@@ -36,6 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Union
 
 from .errors import CapabilityError, CertificateError, InputError
@@ -134,99 +141,311 @@ def _validate(problem: LpProblem) -> None:
             seen.add(idx)
 
 
-def _eliminate(row: list[int], prow: list[int], p: int, f: int, d: int,
-               c: int) -> list[int]:
-    """One row of a condensed fraction-free pivot on column c.
+def _numerators(values) -> tuple[int, list[int]]:
+    """One positive common denominator of rationals and their numerators over it."""
+    den = lcm(*[v.denominator for v in values])
+    if den == 1:
+        return 1, [v.numerator for v in values]
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
-    Every division by d is exact.  Column c turns into the column of the
-    leaving variable, where the row holds -f.
+
+class _Kernel:
+    """A simplex basis held as the fraction-free inverse of its kernel.
+
+    Each row i either has a basic logical (slack, surplus or artificial, a
+    column sig[i] * e_i) or is a kernel row, with sig[i] = 0.  The basic
+    decision columns on the kernel rows form the square kernel K.  With
+    d = |det B|, ``inv`` holds d * K^-1 in integers: one row per basic
+    decision (``cols``), whose column 0 is d times the decision's value and
+    whose column c >= 1 belongs to kernel row rows[c].  ``lx[i]`` is d
+    times the value of row i's basic logical.  For a column a, d * B^-1 a
+    is inv * a on the basic decisions and sig[i] * (d * a_i - A_i . inv * a)
+    on a logical row i, A_i being row i of the decision matrix on the
+    basic decisions.
+
+    The duals pi = c_B d B^-1 are kept by the caller in a list of m + 1:
+    pi[m] holds c_B times the basic values, and rows[0] = m, so that the
+    objective moves with the duals as the values move with ``inv``.
     """
-    if p == d:
-        # (d*a - f*b) / d = a - f*b/d: only entries under a nonzero move.
-        if not f:
-            return row
-        row = [a - f * b // d if b else a for a, b in zip(row, prow)]
-    elif f:
-        row = [(p * a - f * b) // d for a, b in zip(row, prow)]
-    else:
-        return [p * a // d for a in row]
-    row[c] = -f
-    return row
 
+    __slots__ = ("n", "crow", "cval", "weights", "slack", "d", "inv", "cols",
+                 "pos", "rows", "rpos", "lvar", "sig", "lx")
 
-def _pivot(rows: list[list[int]], orow: list[int] | None, basis: list[int],
-           nb: list[int], d: int, r: int, c: int) -> int:
-    """Bareiss pivot on (r, c) of the condensed tableau; returns the new d.
+    def __init__(self, crow: list, cval: list, slack: list, lvar: list[int],
+                 rhs: list[int]):
+        """The unit basis: logical lvar[i] basic in every row i, d = 1."""
+        n, m = len(crow), len(lvar)
+        self.n = n
+        self.crow = crow
+        self.cval = cval
+        self.weights = [None if v.count(1) == len(v) else v for v in cval]
+        self.slack = slack
+        self.d = 1
+        self.inv: list[list[int]] = []
+        self.cols: list[int] = []
+        self.pos = [-1] * n
+        self.rows = [m]
+        self.rpos = [0] * m
+        self.lvar = lvar
+        self.sig = [1] * m
+        self.lx = list(rhs)
 
-    With p = rows[r][c], every other row (and the objective row) becomes
-    (p * row - row[c] * rows[r]) / d, exact by Sylvester's identity, and
-    the pivot row keeps its entries.  Column c then holds the leaving
-    variable, whose dense column was d * e_r: -row[c] in every other row and
-    d in row r.  p is the new denominator.  A negative p, possible only when
-    an artificial is driven out of the basis, negates the tableau so that
-    the denominator stays positive.
-    """
-    prow = rows[r]
-    p = prow[c]
-    for i, row in enumerate(rows):
-        if i != r:
-            rows[i] = _eliminate(row, prow, p, row[c], d, c)
-    if orow is not None:
-        orow[:] = _eliminate(orow, prow, p, orow[c], d, c)
-    prow[c] = d
-    basis[r], nb[c] = nb[c], basis[r]
-    if p < 0:
-        for i, row in enumerate(rows):
-            rows[i] = [-a for a in row]
-        if orow is not None:
-            orow[:] = [-a for a in orow]
-        p = -p
-    return p
+    def column(self, q: int) -> tuple[list[int], dict[int, int]]:
+        """d * B^-1 a_q for a decision, slack or surplus q: its part on the
+        basic decisions, aligned with ``inv``, and its nonzero entries on
+        the logical rows, by row."""
+        if q < self.n:
+            rows, vals, unit = self.crow[q], self.cval[q], self.weights[q] is None
+        else:
+            r, v = self.slack[q - self.n]
+            rows, vals, unit = (r,), (v,), False
+        d, sig, inv = self.d, self.sig, self.inv
+        if not inv:
+            return [], {i: sig[i] * d * v for i, v in zip(rows, vals)}
+        rpos = self.rpos
+        kcol = [(rpos[i], v) for i, v in zip(rows, vals) if rpos[i]]
+        if len(kcol) == 1:
+            (c, v), = kcol
+            alpha = [v * row[c] for row in inv]
+        elif unit and kcol:
+            get = itemgetter(*[c for c, _ in kcol])
+            alpha = [sum(get(row)) for row in inv]
+        else:
+            alpha = [sum([v * row[c] for c, v in kcol]) for row in inv]
+        t = {i: d * v for i, v in zip(rows, vals) if sig[i]}
+        crow, weights = self.crow, self.weights
+        for j, a in zip(self.cols, alpha):
+            if a:
+                w = weights[j]
+                if w is None:
+                    for i in crow[j]:
+                        if sig[i]:
+                            t[i] = t.get(i, 0) - a
+                else:
+                    for i, v in zip(crow[j], w):
+                        if sig[i]:
+                            t[i] = t.get(i, 0) - v * a
+        return alpha, {i: sig[i] * v for i, v in t.items() if v}
 
+    def crash(self, pairs: list[tuple[int, int]], row_scale: list[int],
+              rhs: list[int]) -> None:
+        """Start from a basis where decision j is basic in row i for each
+        (i, j) of ``pairs``, column j being row_scale[i] * e_i: the kernel
+        is diagonal and d is the product of those scales."""
+        d = 1
+        for i, _ in pairs:
+            d *= row_scale[i]
+        size = len(pairs) + 1
+        for c, (i, j) in enumerate(pairs, 1):
+            row = [0] * size
+            row[c] = e = d // row_scale[i]
+            row[0] = e * rhs[i]
+            self.inv.append(row)
+            self.cols.append(j)
+            self.pos[j] = c - 1
+            self.rows.append(i)
+            self.rpos[i] = c
+            self.sig[i] = 0
+        self.d = d
+        self.lx = [d * b if v >= 0 else 0 for v, b in zip(self.lvar, rhs)]
 
-def _first_column(nb: list[int], entries: list[int], limit: int,
-                  positive: bool) -> int:
-    """Column of the smallest variable id below limit whose entry is
-    positive (any nonzero entry if not ``positive``); -1 if none is."""
-    first, col = limit, -1
-    for j, (v, a) in enumerate(zip(nb, entries)):
-        if v < first and (a > 0 if positive else a):
-            first, col = v, j
-    return col
+    def duals(self, cost: list[int]) -> list[int]:
+        """pi = c_B d B^-1 for costs on the decisions, then c_B d x_B."""
+        acc = [0] * len(self.rows)
+        for j, row in zip(self.cols, self.inv):
+            c = cost[j]
+            if c:
+                acc = [a + c * b for a, b in zip(acc, row)]
+        pi = [0] * (len(self.lvar) + 1)
+        for r, v in zip(self.rows, acc):
+            pi[r] = v
+        return pi
+
+    def leaving(self, alpha: list[int], t: dict[int, int]) -> tuple[int, int] | None:
+        """The ratio test on an entering column: the inverse row (or, as
+        (-1, i), the logical row) of the smallest ratio, the smallest
+        basic id on ties; None if no entry is positive."""
+        s_out = i_out = leave = -1
+        best_b = best_a = 0
+        for s, (a, v, row) in enumerate(zip(alpha, self.cols, self.inv)):
+            if a > 0:
+                b = row[0]
+                if leave >= 0:
+                    lhs = b * best_a
+                    rhs = best_b * a
+                    if lhs > rhs or (lhs == rhs and v > leave):
+                        continue
+                best_b, best_a, leave, s_out = b, a, v, s
+        lx, lvar = self.lx, self.lvar
+        for i, a in t.items():
+            if a > 0:
+                b = lx[i]
+                v = lvar[i]
+                if leave >= 0:
+                    lhs = b * best_a
+                    rhs = best_b * a
+                    if lhs > rhs or (lhs == rhs and v > leave):
+                        continue
+                best_b, best_a, leave, s_out, i_out = b, a, v, -1, i
+        return None if leave < 0 else (s_out, i_out)
+
+    def logical_row(self, i: int) -> list[int]:
+        """Row i's logical row of d * B^-1, aligned with an inverse row,
+        then its entry on row i itself."""
+        crow, cval = self.crow, self.cval
+        acc = [0] * len(self.rows)
+        for j, row in zip(self.cols, self.inv):
+            rows = crow[j]
+            if i in rows:
+                v = cval[j][rows.index(i)]
+                acc = [a - v * b for a, b in zip(acc, row)]
+        sig = self.sig[i]
+        if sig < 0:
+            acc = [-a for a in acc]
+        acc[0] = self.lx[i]
+        acc.append(sig * self.d)
+        return acc
+
+    def pivot(self, q: int, alpha: list[int], t: dict[int, int], s_out: int,
+              i_out: int, rc: int, pi: list[int] | None) -> list[int] | None:
+        """Bareiss pivot: variable q enters, the basic decision of inverse
+        row s_out (or, if s_out < 0, row i_out's logical) leaves.
+
+        With p the pivot entry, every other basic row of d * B^-1 and value
+        becomes (p * row - alpha_r * leaving row) / d, exact by Sylvester's
+        identity, and the duals become (p * pi + rc * leaving row) / d.
+        The leaving row itself turns into the entering variable's row.  A
+        negative p, possible only when an artificial is driven out, negates
+        everything so that d = |p| stays positive.  Returns the new duals.
+        """
+        d, inv, lx, rows, rpos = self.d, self.inv, self.lx, self.rows, self.rpos
+        grow = s_out < 0
+        if grow:
+            p = t[i_out]
+            rho = self.logical_row(i_out)
+            b_out = lx[i_out]
+            rows.append(i_out)
+            rpos[i_out] = len(rows) - 1
+            self.lvar[i_out] = -1
+            self.sig[i_out] = 0
+            # Row i_out joins the kernel: every inverse row gains its column.
+            for row in inv:
+                row.append(0)
+        else:
+            p = alpha[s_out]
+            rho = inv[s_out]
+            b_out = rho[0]
+        for s, f in enumerate(alpha):
+            if s == s_out:
+                continue
+            if p == d:
+                # (d*a - f*b) / d = a - f*b/d: only entries under a nonzero move.
+                if f:
+                    inv[s] = [a - f * b // d if b else a for a, b in zip(inv[s], rho)]
+            elif f:
+                inv[s] = [(p * a - f * b) // d for a, b in zip(inv[s], rho)]
+            else:
+                inv[s] = [p * a // d for a in inv[s]]
+        if p == d:
+            for i, f in t.items():
+                lx[i] -= f * b_out // d
+            if pi is not None:
+                for r, v in zip(rows, rho):
+                    if v:
+                        pi[r] += rc * v // d
+        else:
+            lx = [p * a for a in lx]
+            for i, f in t.items():
+                lx[i] -= f * b_out
+            self.lx = lx = [a // d for a in lx]
+            if pi is not None:
+                pi = [p * a for a in pi]
+                for r, v in zip(rows, rho):
+                    if v:
+                        pi[r] += rc * v
+                pi = [a // d for a in pi]
+        if grow:
+            lx[i_out] = 0
+
+        cols, pos = self.cols, self.pos
+        if q < self.n:
+            if grow:
+                inv.append(rho)
+                cols.append(q)
+                pos[q] = len(cols) - 1
+            else:
+                pos[cols[s_out]] = -1
+                cols[s_out] = q
+                pos[q] = s_out
+        else:
+            # A logical of kernel row r enters: its kernel column, zero in
+            # every remaining row, is dropped.
+            r, sig = self.slack[q - self.n]
+            c = rpos[r]
+            for row in inv:
+                row[c] = row[-1]
+                row.pop()
+            rows[c] = rows[-1]
+            rpos[rows[c]] = c
+            rows.pop()
+            rpos[r] = 0
+            self.lvar[r] = q
+            self.sig[r] = sig
+            lx[r] = b_out
+            if not grow:
+                pos[cols[s_out]] = -1
+                inv[s_out] = inv[-1]
+                cols[s_out] = cols[-1]
+                inv.pop()
+                cols.pop()
+                if s_out < len(cols):
+                    pos[cols[s_out]] = s_out
+        if p < 0:
+            p = -p
+            self.inv = [[-a for a in row] for row in inv]
+            self.lx = [-a for a in lx]
+            if pi is not None:
+                pi = [-a for a in pi]
+        self.d = p
+        return pi
 
 
 _MAX_PIVOTS = 500_000
 
 
-def _run_simplex(rows: list[list[int]], orow: list[int], basis: list[int],
-                 nb: list[int], art_start: int, d: int) -> tuple[str, int]:
+def _run_simplex(kern: _Kernel, cost: list[int], pi: list[int]) -> list[int] | None:
     """Bland's rule: smallest eligible variable id, smallest basic id on ties.
 
-    Returns the outcome and the final common denominator.  All rows share
-    the positive denominator d, so signs and ratios of numerators are those
-    of the rational tableau; ratios are compared by cross-multiplication.
-    Artificials (ids from art_start) never enter.
+    Prices the nonbasic decisions, slacks and surpluses by id, the reduced
+    cost of a column a_j being d * c_j - pi . a_j, and enters the first
+    positive one; artificials never enter.  Returns the final duals, or
+    None if the program is unbounded.  All numerators share the positive
+    denominator d, so signs and ratios are those of the rational tableau.
     """
+    crow, weights = kern.crow, kern.weights
+    slack, pos, lvar = kern.slack, kern.pos, kern.lvar
     for _ in range(_MAX_PIVOTS):
-        enter = _first_column(nb, orow, art_start, True)
-        if enter < 0:
-            return "optimal", d
-        leave = -1
-        best_b = best_a = 0
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                b = row[-1]
-                if leave < 0:
-                    best_b, best_a, leave = b, a, i
-                    continue
-                lhs = b * best_a
-                rhs = best_b * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    best_b, best_a, leave = b, a, i
-        if leave < 0:
-            return "unbounded", d
-        d = _pivot(rows, orow, basis, nb, d, leave, enter)
+        d = kern.d
+        get = pi.__getitem__
+        for j, (b, rows, vals, c) in enumerate(zip(pos, crow, weights, cost)):
+            if b < 0:
+                rc = d * c - (sum(map(get, rows)) if vals is None else
+                              sum(map(mul, map(get, rows), vals)))
+                if rc > 0:
+                    break
+        else:
+            for j, (i, sig) in enumerate(slack, kern.n):
+                if lvar[i] != j:
+                    rc = -sig * pi[i]
+                    if rc > 0:
+                        break
+            else:
+                return pi
+        alpha, t = kern.column(j)
+        out = kern.leaving(alpha, t)
+        if out is None:
+            return None
+        pi = kern.pivot(j, alpha, t, *out, rc, pi)
     raise CapabilityError(f"simplex exceeded the pivot limit of {_MAX_PIVOTS}")
 
 
@@ -242,144 +461,114 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     _validate(problem)
     n = problem.num_vars
     maximize = problem.sense is Sense.MAX
-    obj = [c if maximize else -c for c in problem.objective]
-    obj_scale = lcm(*(c.denominator for c in obj))
-    cost = [c.numerator * (obj_scale // c.denominator) for c in obj]
+    sense_sign = 1 if maximize else -1
+    obj_scale, cost = _numerators(problem.objective)
+    if not maximize:
+        cost = [-c for c in cost]
 
-    # Each row is flipped to a nonnegative right-hand side; rels holds the
-    # flipped relations.
+    # Each row is flipped to a nonnegative right-hand side and multiplied
+    # by row_scale[i], the LCM of its denominators, so that it is integral;
+    # the slack, surplus and artificial entries stay units.  The decision
+    # matrix is kept sparse, by column: rows and values.  Variable ids:
+    # decisions, then one slack (e_i) or surplus (-e_i) per inequality row,
+    # in row order; row i's artificial is art_start + i, above every other
+    # id.  The unit basis takes the slack of a <= row and the artificial of
+    # a >=/= row, so d = 1.
     m = len(problem.constraints)
-    rels: list[Relation] = []
-    flipped: list[bool] = []
-    for con in problem.constraints:
-        flip = con.rhs < 0
-        flipped.append(flip)
-        rels.append(_FLIPPED[con.relation] if flip else con.relation)
-
-    # Variable ids: decisions, then one slack/surplus per inequality row,
-    # then one artificial per >=/= row.  Artificials never enter, but stay
-    # as columns once they leave so dual values can be read off every row's
-    # signature column.
-    slack_col = [-1] * m
-    art_col = [-1] * m
-    ncols = n
-    for i, rel in enumerate(rels):
-        if rel is not Relation.EQ:
-            slack_col[i] = ncols
-            ncols += 1
-    art_start = ncols
-    for i, rel in enumerate(rels):
-        if rel is not Relation.LE:
-            art_col[i] = ncols
-            ncols += 1
-
-    # The condensed tableau keeps one column per nonbasic variable, labelled
-    # by nb, plus the right-hand side; a basic column is d * e_i and carries
-    # nothing.  It starts from the unit basis (slack for <= rows, artificial
-    # for >=/= rows), so d = 1 and the columns are the decisions, then the
-    # surplus of each >= row.  Row i is multiplied by row_scale[i], the LCM
-    # of its denominators, so that it is integral; the slack, surplus and
-    # artificial entries stay units.
-    basis = [slack_col[i] if rel is Relation.LE else art_col[i]
-             for i, rel in enumerate(rels)]
-    nb = list(range(n)) + [slack_col[i] for i, rel in enumerate(rels)
-                           if rel is Relation.GE]
-    width = len(nb) + 1
-    rows: list[list[int]] = []
+    art_start = n + m
+    crow: list[list[int]] = [[] for _ in range(n)]
+    cval: list[list[int]] = [[] for _ in range(n)]
+    rhs: list[int] = []
     row_scale: list[int] = []
-    hits = [0] * n
-    unit_row = [-1] * n
-    surplus = n
+    flipped: list[bool] = []
+    slack: list[tuple[int, int]] = []
+    lvar: list[int] = []
     for i, con in enumerate(problem.constraints):
-        sign = -1 if flipped[i] else 1
         b = con.rhs
-        s = lcm(b.denominator, *(v.denominator for _, v in con.coeffs))
-        row = [0] * width
+        flip = b.numerator < 0
+        sign = -1 if flip else 1
+        s = lcm(b.denominator, *[v.denominator for _, v in con.coeffs])
         for idx, val in con.coeffs:
             a = sign * val.numerator * (s // val.denominator)
-            row[idx] = a
             if a:
-                hits[idx] += 1
-                if a == s:
-                    unit_row[idx] = i
-        if rels[i] is Relation.GE:
-            row[surplus] = -1
-            surplus += 1
-        row[-1] = sign * b.numerator * (s // b.denominator)
-        rows.append(row)
+                crow[idx].append(i)
+                cval[idx].append(a)
+        rhs.append(sign * b.numerator * (s // b.denominator))
         row_scale.append(s)
-    d = 1
+        flipped.append(flip)
+        rel = _FLIPPED[con.relation] if flip else con.relation
+        if rel is Relation.LE:
+            lvar.append(n + len(slack))
+            slack.append((i, 1))
+        else:
+            if rel is Relation.GE:
+                slack.append((i, -1))
+            lvar.append(art_start + i)
+    kern = _Kernel(crow, cval, slack, lvar, rhs)
 
     # Crash basis: a >=/= row takes the first decision column whose only
     # nonzero is an unscaled 1 in that row, in place of its artificial.
-    # The pivot only rescales the other rows, and leaves them as they are
-    # when the row scale is 1.
-    for j in range(n):
-        i = unit_row[j]
-        if hits[j] == 1 and i >= 0 and basis[i] == art_col[i]:
-            d = _pivot(rows, None, basis, nb, d, i, j)
+    crashed = []
+    for j, rows in enumerate(crow):
+        if len(rows) == 1:
+            i = rows[0]
+            if lvar[i] >= art_start and cval[j][0] == row_scale[i]:
+                lvar[i] = -1
+                crashed.append((i, j))
+    if crashed:
+        kern.crash(crashed, row_scale, rhs)
 
-    art_rows = [i for i in range(m) if basis[i] == art_col[i]]
+    art_rows = [i for i, v in enumerate(lvar) if v >= art_start]
     if art_rows:
         # Phase 1 minimizes the sum of the artificials of the unscaled rows:
-        # row i's artificial stands for row_scale[i] of them, so its row is
-        # weighted by art_scale / row_scale[i].
-        art_scale = lcm(*(row_scale[i] for i in art_rows))
-        orow1 = [0] * width
+        # row i's artificial stands for row_scale[i] of them, so it costs
+        # art_scale / row_scale[i].
+        art_scale = lcm(*[row_scale[i] for i in art_rows])
+        pi = [0] * (m + 1)
         for i in art_rows:
             w = art_scale // row_scale[i]
-            orow1 = [a + w * v if v else a for a, v in zip(orow1, rows[i])]
-        _, d = _run_simplex(rows, orow1, basis, nb, art_start, d)
-        if orow1[-1] != 0:
+            pi[i] = -kern.d * w
+            pi[m] -= w * kern.lx[i]
+        pi = _run_simplex(kern, [0] * n, pi)
+        if pi[m]:
             return LpSolution(status=LpStatus.INFEASIBLE)
         # Drive leftover artificials out of the basis where possible; a row
         # with no eligible pivot is redundant and stays inert at zero.
         for i in art_rows:
-            if basis[i] == art_col[i]:
-                j = _first_column(nb, rows[i], art_start, False)
-                if j >= 0:
-                    d = _pivot(rows, None, basis, nb, d, i, j)
+            if lvar[i] < art_start:
+                continue
+            for j in range(n + len(slack)):
+                basic = kern.pos[j] >= 0 if j < n else lvar[slack[j - n][0]] == j
+                if basic:
+                    continue
+                alpha, t = kern.column(j)
+                if t.get(i):
+                    kern.pivot(j, alpha, t, -1, i, 0, None)
+                    break
 
-    orow2 = [d * cost[v] if v < n else 0 for v in nb] + [0]
-    for i, b in enumerate(basis):
-        cb = cost[b] if b < n else 0
-        if cb:
-            orow2 = [a - cb * v if v else a for a, v in zip(orow2, rows[i])]
-    outcome, d = _run_simplex(rows, orow2, basis, nb, art_start, d)
-    if outcome == "unbounded":
+    pi = _run_simplex(kern, cost, kern.duals(cost))
+    if pi is None:
         return LpSolution(status=LpStatus.UNBOUNDED)
 
-    # Back to rationals: the numerators over d, the objective row over
-    # d * obj_scale, and each dual times its row's scale.  A basic
-    # signature column has a zero reduced cost, so its dual is 0.
-    value = Fraction(-orow2[-1], d * obj_scale)
+    # Back to rationals: the numerators over d, the objective pi[m] over
+    # d * obj_scale, and each dual pi_i times its row's scale.
+    d = kern.d
+    den = d * obj_scale
     primal = [_ZERO] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            primal[b] = Fraction(rows[i][-1], d)
-
-    col_of = {v: j for j, v in enumerate(nb)}
-    dual: list[Fraction] = []
-    sense_sign = 1 if maximize else -1
-    for i in range(m):
-        j = col_of.get(slack_col[i] if rels[i] is Relation.LE else art_col[i])
-        y = 0 if j is None else -orow2[j] * row_scale[i]
-        if flipped[i]:
-            y = -y
-        dual.append(Fraction(y * sense_sign, d * obj_scale))
-
+    for j, row in zip(kern.cols, kern.inv):
+        if row[0]:
+            primal[j] = Fraction(row[0], d)
+    dual = [_ZERO] * m
+    for i, y in enumerate(pi[:m]):
+        if y:
+            y *= sense_sign * row_scale[i]
+            dual[i] = Fraction(-y if flipped[i] else y, den)
     return LpSolution(
         status=LpStatus.OPTIMAL,
-        optimum=value if maximize else -value,
+        optimum=Fraction(sense_sign * pi[m], den),
         primal=tuple(primal),
         dual=tuple(dual),
     )
-
-
-def _numerators(values) -> tuple[int, list[int]]:
-    """One positive common denominator of rationals and their numerators over it."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def check_certificates(problem: LpProblem, solution: LpSolution) -> bool:

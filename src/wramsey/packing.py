@@ -123,8 +123,8 @@ def _require_unit_loads(tw: SubgraphWeights, what: str) -> None:
 
 
 # Largest n each packing LP accepts.  K_n gives the largest LP of each
-# size; measured on a 2-core machine: tau_star 2.9 s at n=12 (9.8 s at 13),
-# r_induced 3.5 s at 12 (8.2 s at 13), r_tilde 4.9 s at 10 (14.7 s at 11).
+# size; measured on a 2-core machine: tau_star 0.53 s at n=12 (1.2 s at 13),
+# r_induced 0.57 s at 12 (1.3 s at 13), r_tilde 0.32 s at 10 (0.83 s at 11).
 _TAU_STAR_CAP = 12
 _R_INDUCED_CAP = 12
 _R_TILDE_CAP = 10

@@ -93,9 +93,10 @@ class WramResult:
             raise CertificateError("wram value times r value must equal C(n,2)")
 
 
-# Largest n the weight LP accepts.  The worst k is about n/2; measured on a
-# 2-core machine over a pentagon blow-up, a random and a bipartite coloring:
-# 6.1 s at n=10 (k=5), 46 s at n=11 (k=5).  Exhaustive wram needs n <= 8.
+# Largest n the weight LP accepts.  Measured on a 2-core machine over a
+# pentagon blow-up, a random and a bipartite coloring at every k, the
+# slowest is the bipartite one: 0.2 s at n=10 (k=7), 3.2 s at n=11 (k=6).
+# Exhaustive wram needs n <= 8.
 _WEIGHT_LP_CAP = 10
 
 

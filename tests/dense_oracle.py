@@ -3,9 +3,11 @@
 ``solve_lp`` here runs Bland's rule on the full tableau: every column of
 every decision, slack and artificial variable, plus the right-hand side,
 held as integer numerators over one positive common denominator and updated
-by Bareiss pivots.  ``exactnum.solve_lp`` keeps only the nonbasic columns
-of the same tableau, so on every program both must return the same
-``LpSolution``: status, optimum, primal and dual.
+by Bareiss pivots.  ``exactnum.solve_lp`` keeps no tableau, only the
+integer inverse of the basis kernel, but it derives the same numerators
+d * B^-1 A for the same basis and picks pivots by the same rule, so on every
+program both must return the same ``LpSolution``: status, optimum, primal
+and dual.
 """
 
 from __future__ import annotations

@@ -122,6 +122,51 @@ def test_jobs_zero_counts_only_the_cpus_this_process_may_use(capsys, monkeypatch
     assert "value 2/1" in out
 
 
+def test_jobs_are_capped_at_the_cpus_this_process_may_use(capsys, monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    # 18 classes at n = 5 fill 3 chunks, so only the CPU count caps the pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(weighted_ramsey, "Pool", FakePool)
+    for cpus, pools in (({0, 1}, [2]), ({5}, [])):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        code, out, _ = run_cli(
+            capsys, "--stable", "--jobs", "1000", "wram", "--exhaustive", "--n", "5", "--k", "3"
+        )
+        assert (code, started) == (0, pools)
+        assert "value 2/1" in out
+        started.clear()
+
+
+def test_non_utf8_coloring_file_is_an_input_error(capsys, tmp_path):
+    coloring = tmp_path / "coloring.txt"
+    coloring.write_bytes(b"\xff\xfe\x00junk")
+    code, out, err = run_cli(capsys, "--stable", "wram", "--file", str(coloring), "--k", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {coloring} is not UTF-8 text: ")
+
+
+def test_non_utf8_graph_file_is_an_input_error(capsys, tmp_path):
+    graph = tmp_path / "graph.txt"
+    graph.write_bytes(format_graph(Graph.complete(3)).encode() + b"\xff")
+    code, out, err = run_cli(capsys, "--stable", "packing", "--graph", str(graph))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {graph} is not UTF-8 text: ")
+
+
 def test_main_builds_no_parser(capsys, monkeypatch, k3_graph_file):
     # The parser is built once, at import; a call only parses.
     def no_parser(*args, **kwargs):

@@ -511,7 +511,7 @@ def _oracle_lps(draw):
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(_oracle_lps())
-def test_condensed_tableau_matches_dense_oracle(prob):
+def test_kernel_inverse_matches_dense_oracle(prob):
     # Same status, optimum, primal and dual: the same pivot path.
     assert solve_lp(prob) == dense_solve_lp(prob)
 
@@ -523,5 +523,88 @@ def test_weight_lp_blocks_match_dense_oracle(monkeypatch):
             for k in range(3, n + 1):
                 weighted_ramsey.r_of_coloring(c, k)
     assert len(seen) == 750
+    for prob, sol in seen:
+        assert sol == dense_solve_lp(prob)
+
+
+def _record_pivots(monkeypatch):
+    """Record (entering id, leaving id, pivot entry) of every pivot taken."""
+    seen = []
+    pivot = exactnum._Kernel.pivot
+
+    def recording(kern, q, alpha, t, s_out, i_out, rc, pi):
+        if s_out >= 0:
+            seen.append((q, kern.cols[s_out], alpha[s_out]))
+        else:
+            seen.append((q, kern.lvar[i_out], t[i_out]))
+        return pivot(kern, q, alpha, t, s_out, i_out, rc, pi)
+
+    monkeypatch.setattr(exactnum._Kernel, "pivot", recording)
+    return seen
+
+
+def test_own_surplus_drives_out_an_empty_ge_row(monkeypatch):
+    # 0 >= 0 leaves its artificial basic at zero after phase 1.  Only the
+    # row's own surplus (id 2) has a nonzero entry in the artificial's row,
+    # -d, so the drive-out pivots on a negative entry and the kernel keeps
+    # its shape; x0 then enters in place of the slack of row 0.
+    seen = _record_pivots(monkeypatch)
+    prob = lp_problem(1, [1], Sense.MAX, [
+        constraint({0: 1}, Relation.LE, 2),
+        constraint({}, Relation.GE, 0),
+    ])
+    sol = solve_lp(prob)
+    assert sol == dense_solve_lp(prob)
+    assert (sol.optimum, sol.primal, sol.dual) == (2, (2,), (1, 0))
+    assert [(q, p) for q, _, p in seen] == [(2, -1), (0, 1)]
+    assert check_certificates(prob, sol)
+
+
+def test_slacks_leave_and_reenter_at_other_kernel_columns(monkeypatch):
+    # The slacks of rows 0, 2 and 1 (ids 3, 5 and 4) leave in turn, so the
+    # kernel columns belong to rows [0, 2, 1].  When slack 3 comes back,
+    # row 1's column moves into row 0's place, and slack 4 then re-enters
+    # from there.
+    seen = _record_pivots(monkeypatch)
+    prob = lp_problem(3, [1, 3, 3], Sense.MAX, [
+        constraint({0: 2, 2: 2}, Relation.LE, 4),
+        constraint({0: 1, 2: 2}, Relation.LE, 3),
+        constraint({0: 2, 1: 1, 2: 2}, Relation.LE, 4),
+    ])
+    sol = solve_lp(prob)
+    assert sol == dense_solve_lp(prob)
+    assert (sol.optimum, sol.primal, sol.dual) == (12, (0, 4, 0), (0, 0, 3))
+    assert [(q, leaving) for q, leaving, _ in seen] == [(0, 3), (1, 5), (2, 4), (3, 0), (4, 2)]
+    assert check_certificates(prob, sol)
+
+
+def test_crash_rows_with_scales_above_one(monkeypatch):
+    # x0 and x1 are unscaled 1s alone in their columns, in rows of scale 2
+    # and 3, so the crash basis takes both with d = 6 and no phase 1.  The
+    # one pivot then runs over d = 6: x2 enters, x0 leaves.
+    seen = _record_pivots(monkeypatch)
+    prob = lp_problem(3, [1, 1, F(1, 2)], Sense.MIN, [
+        constraint({0: 1, 2: F(1, 2)}, Relation.GE, F(3, 2)),
+        constraint({1: 1, 2: F(1, 3)}, Relation.EQ, F(5, 3)),
+    ])
+    sol = solve_lp(prob)
+    assert sol == dense_solve_lp(prob)
+    assert sol.optimum == F(13, 6)
+    assert sol.primal == (0, F(2, 3), 3)
+    assert sol.dual == (F(1, 3), 1)
+    assert [(q, leaving) for q, leaving, _ in seen] == [(2, 0)]
+    assert check_certificates(prob, sol)
+
+
+def test_packing_lps_match_dense_oracle(monkeypatch):
+    seen = _capture_lp(monkeypatch, exactnum)
+    rng = random.Random(2016)
+    sizes = [rng.randint(3, 7) for _ in range(30)]
+    graphs = [Graph(n, rng.getrandbits(n * (n - 1) // 2)) for n in sizes]
+    for g in graphs + [Graph.complete(7)]:
+        packing.tau_star(g)
+        packing.r_induced(g)
+        packing.r_tilde(g)
+    assert len(seen) == 76
     for prob, sol in seen:
         assert sol == dense_solve_lp(prob)
