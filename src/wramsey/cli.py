@@ -101,6 +101,11 @@ def report_from_json(text: str) -> RunReport:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad report JSON: {exc}") from exc
+    if not (isinstance(payload, dict) and isinstance(payload.get("command"), str)
+            and isinstance(payload.get("inputs"), dict)
+            and isinstance(payload.get("result"), dict)):
+        raise InputError("report JSON needs an object with a string command "
+                         "and object inputs and result")
     return RunReport(
         command=payload["command"],
         inputs=payload["inputs"],

@@ -32,8 +32,16 @@ dual witness, is the one the rational simplex on the full tableau takes.
 Rationals appear again only at the boundary, when the solution is read
 off.
 
-``solve_unit_program`` builds, solves and certifies the one shape every
-program of the package has: a 0/1 matrix, unit right-hand sides and costs.
+The simplex and the certificate check work on one integer program,
+stored by column, with two front ends.  ``solve_lp`` and
+``check_certificates`` scale each row of an ``LpProblem`` by the LCM of
+its denominators and flip it to a nonnegative right-hand side.
+``solve_unit_program`` takes the one shape every program of the package
+has, a 0/1 matrix with unit right-hand sides and costs, as index rows and
+hands them over as they are: every scale is 1 and no row is flipped, so
+the only rationals it makes are the reported optimum, primal and dual.
+Its certificate is still recomputed from the rows and the reported
+solution alone, never from the basis.
 """
 
 from __future__ import annotations
@@ -43,14 +51,13 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter, mul
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import CapabilityError, CertificateError, InputError
 
 Rational = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 RationalLike = Union[Fraction, int, str]
 
@@ -149,6 +156,87 @@ def _numerators(values) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
+class _Program(NamedTuple):
+    """A linear program in integers, stored by column.
+
+    Row i is the rational row times ``scale[i]`` > 0, negated where
+    ``flip[i]`` is set, so that its entries are integers and its right-hand
+    side ``rhs[i]`` is nonnegative; ``rels[i]`` is its relation after the
+    flip.  Column j lists its rows ``crow[j]`` and nonzero entries
+    ``cval[j]``; ``weights[j]`` is None where every entry is 1.  The
+    objective is ``cost`` over ``obj_scale``, to be maximized or minimized.
+    """
+
+    crow: list[list[int]]
+    cval: list[list[int]]
+    weights: list[list[int] | None]
+    rhs: list[int]
+    rels: list[Relation]
+    scale: list[int]
+    flip: list[bool]
+    cost: list[int]
+    obj_scale: int
+    maximize: bool
+
+
+_FLIPPED = {Relation.LE: Relation.GE, Relation.GE: Relation.LE,
+            Relation.EQ: Relation.EQ}
+
+
+def _integer_program(problem: LpProblem) -> _Program:
+    """An ``LpProblem``'s rows, each scaled by the LCM of its denominators
+    and flipped to a nonnegative right-hand side."""
+    n = problem.num_vars
+    crow: list[list[int]] = [[] for _ in range(n)]
+    cval: list[list[int]] = [[] for _ in range(n)]
+    rhs: list[int] = []
+    rels: list[Relation] = []
+    scale: list[int] = []
+    flip: list[bool] = []
+    for i, con in enumerate(problem.constraints):
+        b = con.rhs
+        flipped = b.numerator < 0
+        sign = -1 if flipped else 1
+        s = lcm(b.denominator, *[v.denominator for _, v in con.coeffs])
+        for idx, val in con.coeffs:
+            a = sign * val.numerator * (s // val.denominator)
+            if a:
+                crow[idx].append(i)
+                cval[idx].append(a)
+        rhs.append(sign * b.numerator * (s // b.denominator))
+        rels.append(_FLIPPED[con.relation] if flipped else con.relation)
+        scale.append(s)
+        flip.append(flipped)
+    obj_scale, cost = _numerators(problem.objective)
+    weights = [None if v.count(1) == len(v) else v for v in cval]
+    return _Program(crow, cval, weights, rhs, rels, scale, flip, cost,
+                    obj_scale, problem.sense is Sense.MAX)
+
+
+def _unit_program(num_vars: int, rows: Iterable[Iterable[int]], sense: Sense,
+                  relation: Relation) -> _Program:
+    """The unit program over index rows, already in integers: every entry,
+    cost, right-hand side and scale is 1 and no row is flipped."""
+    if num_vars < 0:
+        raise InputError("num_vars must be nonnegative")
+    crow: list[list[int]] = [[] for _ in range(num_vars)]
+    m = 0
+    for row in rows:
+        for j in row:
+            if not 0 <= j < num_vars:
+                raise InputError(f"constraint {m} references variable {j}")
+            col = crow[j]
+            # Rows arrive in order, so a repeat within row m is col[-1].
+            if col and col[-1] == m:
+                raise InputError(f"constraint {m} names variable {j} twice")
+            col.append(m)
+        m += 1
+    ones = [1] * m
+    return _Program(crow, [[1] * len(col) for col in crow], [None] * num_vars,
+                    ones, [relation] * m, ones, [False] * m, [1] * num_vars, 1,
+                    sense is Sense.MAX)
+
+
 class _Kernel:
     """A simplex basis held as the fraction-free inverse of its kernel.
 
@@ -171,14 +259,13 @@ class _Kernel:
     __slots__ = ("n", "crow", "cval", "weights", "slack", "d", "inv", "cols",
                  "pos", "rows", "rpos", "lvar", "sig", "lx")
 
-    def __init__(self, crow: list, cval: list, slack: list, lvar: list[int],
-                 rhs: list[int]):
+    def __init__(self, prog: _Program, slack: list, lvar: list[int]):
         """The unit basis: logical lvar[i] basic in every row i, d = 1."""
-        n, m = len(crow), len(lvar)
+        n, m = len(prog.crow), len(lvar)
         self.n = n
-        self.crow = crow
-        self.cval = cval
-        self.weights = [None if v.count(1) == len(v) else v for v in cval]
+        self.crow = prog.crow
+        self.cval = prog.cval
+        self.weights = prog.weights
         self.slack = slack
         self.d = 1
         self.inv: list[list[int]] = []
@@ -188,7 +275,7 @@ class _Kernel:
         self.rpos = [0] * m
         self.lvar = lvar
         self.sig = [1] * m
-        self.lx = list(rhs)
+        self.lx = list(prog.rhs)
 
     def column(self, q: int) -> tuple[list[int], dict[int, int]]:
         """d * B^-1 a_q for a decision, slack or surplus q: its part on the
@@ -449,54 +536,22 @@ def _run_simplex(kern: _Kernel, cost: list[int], pi: list[int]) -> list[int] | N
     raise CapabilityError(f"simplex exceeded the pivot limit of {_MAX_PIVOTS}")
 
 
-_FLIPPED = {Relation.LE: Relation.GE, Relation.GE: Relation.LE,
-            Relation.EQ: Relation.EQ}
+def _solve(prog: _Program) -> LpSolution:
+    """Two-phase simplex on an integer program; the solution is read off
+    for the rational program it stands for."""
+    crow, cval, rhs, row_scale = prog.crow, prog.cval, prog.rhs, prog.scale
+    n, m = len(crow), len(rhs)
+    maximize = prog.maximize
+    cost = prog.cost if maximize else [-c for c in prog.cost]
 
-
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve an LP exactly; status plus exact primal/dual certificates.
-
-    Deterministic: identical input always produces the identical solution.
-    """
-    _validate(problem)
-    n = problem.num_vars
-    maximize = problem.sense is Sense.MAX
-    sense_sign = 1 if maximize else -1
-    obj_scale, cost = _numerators(problem.objective)
-    if not maximize:
-        cost = [-c for c in cost]
-
-    # Each row is flipped to a nonnegative right-hand side and multiplied
-    # by row_scale[i], the LCM of its denominators, so that it is integral;
-    # the slack, surplus and artificial entries stay units.  The decision
-    # matrix is kept sparse, by column: rows and values.  Variable ids:
-    # decisions, then one slack (e_i) or surplus (-e_i) per inequality row,
-    # in row order; row i's artificial is art_start + i, above every other
-    # id.  The unit basis takes the slack of a <= row and the artificial of
-    # a >=/= row, so d = 1.
-    m = len(problem.constraints)
+    # Variable ids: decisions, then one slack (e_i) or surplus (-e_i) per
+    # inequality row, in row order; row i's artificial is art_start + i,
+    # above every other id.  The unit basis takes the slack of a <= row and
+    # the artificial of a >=/= row, so d = 1.
     art_start = n + m
-    crow: list[list[int]] = [[] for _ in range(n)]
-    cval: list[list[int]] = [[] for _ in range(n)]
-    rhs: list[int] = []
-    row_scale: list[int] = []
-    flipped: list[bool] = []
     slack: list[tuple[int, int]] = []
     lvar: list[int] = []
-    for i, con in enumerate(problem.constraints):
-        b = con.rhs
-        flip = b.numerator < 0
-        sign = -1 if flip else 1
-        s = lcm(b.denominator, *[v.denominator for _, v in con.coeffs])
-        for idx, val in con.coeffs:
-            a = sign * val.numerator * (s // val.denominator)
-            if a:
-                crow[idx].append(i)
-                cval[idx].append(a)
-        rhs.append(sign * b.numerator * (s // b.denominator))
-        row_scale.append(s)
-        flipped.append(flip)
-        rel = _FLIPPED[con.relation] if flip else con.relation
+    for i, rel in enumerate(prog.rels):
         if rel is Relation.LE:
             lvar.append(n + len(slack))
             slack.append((i, 1))
@@ -504,7 +559,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             if rel is Relation.GE:
                 slack.append((i, -1))
             lvar.append(art_start + i)
-    kern = _Kernel(crow, cval, slack, lvar, rhs)
+    kern = _Kernel(prog, slack, lvar)
 
     # Crash basis: a >=/= row takes the first decision column whose only
     # nonzero is an unscaled 1 in that row, in place of its artificial.
@@ -553,16 +608,17 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     # Back to rationals: the numerators over d, the objective pi[m] over
     # d * obj_scale, and each dual pi_i times its row's scale.
     d = kern.d
-    den = d * obj_scale
+    sense_sign = 1 if maximize else -1
+    den = d * prog.obj_scale
     primal = [_ZERO] * n
     for j, row in zip(kern.cols, kern.inv):
         if row[0]:
             primal[j] = Fraction(row[0], d)
     dual = [_ZERO] * m
-    for i, y in enumerate(pi[:m]):
+    for i, (y, s, flip) in enumerate(zip(pi, row_scale, prog.flip)):
         if y:
-            y *= sense_sign * row_scale[i]
-            dual[i] = Fraction(-y if flipped[i] else y, den)
+            y *= sense_sign * s
+            dual[i] = Fraction(-y if flip else y, den)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         optimum=Fraction(sense_sign * pi[m], den),
@@ -571,73 +627,87 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     )
 
 
-def check_certificates(problem: LpProblem, solution: LpSolution) -> bool:
-    """Exact verification: primal feasible, dual feasible, objectives equal.
+def _certified(prog: _Program, solution: LpSolution) -> bool:
+    """Primal feasible, dual feasible, objectives equal, decided in integers.
 
-    Recomputed from the problem and the reported solution alone, never
-    from solver state, in integers: each row is scaled by the LCM of its
-    denominators, x and y become numerators over their common
-    denominators, and every comparison is a cross-multiplication.
-    Returns False on any violation; never raises for a malformed pair.
+    x and y become numerators over their common denominators.  Row i of
+    ``prog`` is s_i times the rational row, negated if flipped, so the
+    rational dual y_i is sign_i * y_i / s_i on it; over the LCM L of the
+    scales of the rows whose dual is nonzero, those are integers.  Every
+    comparison is then a cross-multiplication.
     """
     if solution.status is not LpStatus.OPTIMAL or solution.optimum is None:
         return False
     x = solution.primal
     y = solution.dual
-    if len(x) != problem.num_vars or len(y) != len(problem.constraints):
+    crow, cval, weights, rhs = prog.crow, prog.cval, prog.weights, prog.rhs
+    if len(x) != len(crow) or len(y) != len(rhs):
         return False
     dx, xs = _numerators(x)
     if any(v < 0 for v in xs):
         return False
 
-    # Row i holds s_i times the rational row, with integer coefficients
-    # rows[i] and right-hand side b_i; rows compare against b_i * dx.
-    rows: list[list[tuple[int, int]]] = []
-    scales: list[int] = []
-    for con in problem.constraints:
-        s, nums = _numerators([con.rhs, *(v for _, v in con.coeffs)])
-        row = [(idx, a) for (idx, _), a in zip(con.coeffs, nums[1:])]
-        lhs = sum(a * xs[idx] for idx, a in row)
-        rhs = nums[0] * dx
-        if con.relation is Relation.LE and not lhs <= rhs:
+    # A x against b * dx, from the columns of the nonzero x_j.
+    lhs = [0] * len(rhs)
+    for rows, vals, v in zip(crow, cval, xs):
+        if v:
+            for i, a in zip(rows, vals):
+                lhs[i] += a * v
+    for ax, b, rel in zip(lhs, rhs, prog.rels):
+        b *= dx
+        if ax > b if rel is Relation.LE else ax < b if rel is Relation.GE else ax != b:
             return False
-        if con.relation is Relation.GE and not lhs >= rhs:
-            return False
-        if con.relation is Relation.EQ and lhs != rhs:
-            return False
-        rows.append(row)
-        scales.append(s)
 
-    # c.x = cx / (dc * dx) and b.y = by / (db * dy) against p / q.
+    # c.x = cx / (obj_scale * dx) and b.y = by / (L * dy) against p / q.
     p, q = solution.optimum.numerator, solution.optimum.denominator
-    dc, cs = _numerators(problem.objective)
+    obj_scale = prog.obj_scale
+    cx = sum(map(mul, prog.cost, xs))
+    if cx * q != p * obj_scale * dx:
+        return False
     dy, ys = _numerators(y)
-    db, bs = _numerators([con.rhs for con in problem.constraints])
-    cx = sum(c * v for c, v in zip(cs, xs))
-    by = sum(b * v for b, v in zip(bs, ys))
-    if cx * q != p * dc * dx or by * q != p * db * dy:
+    big = lcm(*[s for s, v in zip(prog.scale, ys) if v])
+    ys = [(-v if flip else v) * (big // s)
+          for v, s, flip in zip(ys, prog.scale, prog.flip)]
+    if sum(map(mul, rhs, ys)) * q != p * big * dy:
         return False
 
-    maximize = problem.sense is Sense.MAX
-    for con, yi in zip(problem.constraints, ys):
-        if con.relation is Relation.LE and (yi < 0 if maximize else yi > 0):
+    maximize = prog.maximize
+    for rel, v in zip(prog.rels, ys):
+        if rel is Relation.LE and (v < 0 if maximize else v > 0):
             return False
-        if con.relation is Relation.GE and (yi > 0 if maximize else yi < 0):
+        if rel is Relation.GE and (v > 0 if maximize else v < 0):
             return False
 
-    # The reduced costs c - A^T y, times dc * dy * L with L the LCM of the
-    # scales of the rows whose dual is nonzero.
-    big = lcm(*(s for s, yi in zip(scales, ys) if yi))
-    reduced = [c * dy * big for c in cs]
-    for row, s, yi in zip(rows, scales, ys):
-        if yi:
-            f = dc * yi * (big // s)
-            for idx, a in row:
-                reduced[idx] -= f * a
-    # A^T y >= c for a max program, <= c for a min program.
-    if maximize:
-        return all(r <= 0 for r in reduced)
-    return all(r >= 0 for r in reduced)
+    # The reduced costs c - A^T y, times obj_scale * L * dy: A^T y >= c for
+    # a max program, <= c for a min program.
+    get = ys.__getitem__
+    cy = big * dy
+    for rows, w, c in zip(crow, weights, prog.cost):
+        ay = sum(map(get, rows)) if w is None else sum(map(mul, map(get, rows), w))
+        r = c * cy - obj_scale * ay
+        if r > 0 if maximize else r < 0:
+            return False
+    return True
+
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve an LP exactly; status plus exact primal/dual certificates.
+
+    Deterministic: identical input always produces the identical solution.
+    """
+    _validate(problem)
+    return _solve(_integer_program(problem))
+
+
+def check_certificates(problem: LpProblem, solution: LpSolution) -> bool:
+    """Exact verification: primal feasible, dual feasible, objectives equal.
+
+    Recomputed from the problem and the reported solution alone, never
+    from solver state, in integers: each row is scaled by the LCM of its
+    denominators and every comparison is a cross-multiplication.  Returns
+    False on any violation; never raises for a malformed pair.
+    """
+    return _certified(_integer_program(problem), solution)
 
 
 def solve_unit_program(num_vars: int, rows: Iterable[Iterable[int]], sense: Sense,
@@ -645,16 +715,14 @@ def solve_unit_program(num_vars: int, rows: Iterable[Iterable[int]], sense: Sens
     """Optimize the sum of ``num_vars`` nonnegative variables, certified.
 
     Each row lists the variables whose sum is held to ``relation`` 1, in
-    order.  Returns the optimum and the primal witness; raises
-    CertificateError("<what> failed to certify") unless the program is
-    optimal and ``check_certificates`` accepts the solution.
+    order.  The rows go to the solver and the certificate check as they
+    are, with no rational row built.  Returns the optimum and the primal
+    witness; raises CertificateError("<what> failed to certify") unless the
+    program is optimal and the certificate check, recomputed from the rows
+    and the reported solution alone, accepts it.
     """
-    problem = LpProblem(num_vars, (_ONE,) * num_vars, sense, tuple(
-        LpConstraint(tuple((i, _ONE) for i in row), relation, _ONE)
-        for row in rows
-    ))
-    solution = solve_lp(problem)
-    if (solution.status is not LpStatus.OPTIMAL
-            or not check_certificates(problem, solution)):
+    prog = _unit_program(num_vars, rows, sense, relation)
+    solution = _solve(prog)
+    if not _certified(prog, solution):
         raise CertificateError(f"{what} failed to certify")
     return solution.optimum, solution.primal

@@ -49,6 +49,11 @@ def edges_to_mask(n: int, edges) -> int:
     return mask
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 3 <= n <= MAX_VERTICES:
+        raise InputError(f"vertex count {n} outside 3..{MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on n vertices, adjacency as an edge bitmask."""
@@ -57,13 +62,15 @@ class Graph:
     mask: int
 
     def __post_init__(self):
-        if not 3 <= self.n <= MAX_VERTICES:
-            raise InputError(f"vertex count {self.n} outside 3..{MAX_VERTICES}")
+        _check_vertex_count(self.n)
         if not 0 <= self.mask < (1 << self.num_pairs):
             raise InputError("edge mask out of range")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        # Checked before any edge is shifted into the mask, whose bits run
+        # up to C(n,2).
+        _check_vertex_count(n)
         return cls(n, edges_to_mask(n, edges))
 
     @classmethod

@@ -8,9 +8,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wramsey import exactnum, weighted_ramsey
 from wramsey.cli import (
+    RunReport,
     format_decimal,
     format_rational,
     format_subgraph_weights,
@@ -19,8 +22,10 @@ from wramsey.cli import (
     report_from_json,
     report_to_json,
 )
+from wramsey.errors import InputError
 from wramsey.graphs import (
     Graph,
+    TwoColoring,
     balanced_blowup,
     format_coloring,
     format_graph,
@@ -229,8 +234,18 @@ def test_packing_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_packing_huge_vertex_count_exits_2(capsys, tmp_path):
+    # The vertex count is rejected before the edge (13, 2) is shifted into
+    # a mask over C(n,2) bits.
+    bad = tmp_path / "huge.txt"
+    bad.write_text("n 999999999999999999993\n1\u0663 2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "--stable", "packing", "--graph", str(bad))
+    assert (code, out) == (2, "")
+    assert "vertex count 999999999999999999993 outside 3..16" in err
+
+
 def test_failed_certificate_exits_4(capsys, monkeypatch, k4_graph_file):
-    monkeypatch.setattr(exactnum, "check_certificates", lambda prob, sol: False)
+    monkeypatch.setattr(exactnum, "_certified", lambda prog, sol: False)
     code, out, err = run_cli(
         capsys, "--stable", "packing", "--graph", k4_graph_file, "--stat", "taustar"
     )
@@ -367,6 +382,32 @@ def test_json_roundtrip(capsys):
     assert report_to_json(report) == out
     payload = json.loads(out)
     assert payload["result"]["witness_weights"]
+
+
+@pytest.mark.parametrize("text", ["[]", "{}", "3"])
+def test_report_json_that_is_not_a_report_is_an_input_error(text):
+    with pytest.raises(InputError, match="^report JSON needs an object"):
+        report_from_json(text)
+
+
+_JSON_VALUES = st.one_of(
+    st.text(max_size=8), st.integers(-10**30, 10**30), st.booleans(), st.none(),
+    st.builds(format_rational, st.fractions(max_denominator=50)),
+    st.integers(3, 6).flatmap(lambda n: st.integers(0, (1 << n * (n - 1) // 2) - 1).map(
+        lambda mask: format_coloring(TwoColoring(Graph(n, mask))))),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.builds(
+    RunReport,
+    command=st.sampled_from(["wram", "packing", "verify", "bounds"]),
+    inputs=st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4),
+    result=st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4),
+    elapsed_ms=st.none() | st.integers(0, 10**6),
+))
+def test_report_json_roundtrip_property(report):
+    assert report_from_json(report_to_json(report)) == report
 
 
 def test_rational_and_decimal_formatting():

@@ -27,6 +27,7 @@ from wramsey.exactnum import (
 from wramsey.graphs import Graph, TwoColoring, all_edges, enumerate_colorings
 
 from dense_oracle import solve_lp as dense_solve_lp
+from unit_programs import capture_unit_programs, unit_problem
 
 
 def test_single_binding_constraint():
@@ -337,17 +338,46 @@ def test_integer_certificate_check_matches_fraction_oracle(prob, data):
     assert check_certificates(prob, pair) == _fraction_check_certificates(prob, pair)
 
 
-def _capture_lp(monkeypatch, module):
-    """Record the last (problem, solution) pair the module solves."""
-    seen = []
+@st.composite
+def _unit_programs(draw):
+    """num_vars, index rows, sense and relation of a small unit program."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, n - 1), unique=True, max_size=n), max_size=6))
+    return n, rows, draw(st.sampled_from(list(Sense))), draw(st.sampled_from(list(Relation)))
 
-    def recording_solve(prob):
-        sol = solve_lp(prob)
-        seen.append((prob, sol))
-        return sol
 
-    monkeypatch.setattr(module, "solve_lp", recording_solve)
-    return seen
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_unit_programs(), st.data())
+def test_unit_certificate_check_matches_fraction_oracle(args, data):
+    # The unit path's integer check, on the solver's pair and on tampered
+    # ones, against the Fraction oracle on the LpProblem the rows stand for.
+    prog = exactnum._unit_program(*args)
+    prob = unit_problem(*args)
+    sol = exactnum._solve(prog)
+    assert sol == solve_lp(prob)
+    assert exactnum._certified(prog, sol) == _fraction_check_certificates(prob, sol)
+    pair = _tampered(data, prob, sol)
+    assert exactnum._certified(prog, pair) == _fraction_check_certificates(prob, pair)
+
+
+@pytest.mark.parametrize("sense, relation, optimum, wrong_dual", [
+    (Sense.MAX, Relation.LE, 1, (2, -1)),
+    (Sense.MIN, Relation.GE, 1, (2, -1)),
+    (Sense.MIN, Relation.LE, 0, (1, -1)),
+])
+def test_unit_certificate_check_rejects_a_dual_of_the_wrong_sign(
+        sense, relation, optimum, wrong_dual):
+    # Two copies of the row x0 <relation> 1: moving dual weight from one copy
+    # to the other keeps b.y and A^T y, so only the sign check can object.
+    args = (1, [[0], [0]], sense, relation)
+    prog = exactnum._unit_program(*args)
+    sol = exactnum._solve(prog)
+    assert sol.optimum == optimum
+    assert exactnum._certified(prog, sol)
+    bad = LpSolution(LpStatus.OPTIMAL, sol.optimum, sol.primal, tuple(map(F, wrong_dual)))
+    assert not exactnum._certified(prog, bad)
+    assert not _fraction_check_certificates(unit_problem(*args), bad)
 
 
 def _nonzero(values):
@@ -359,7 +389,7 @@ _DENSE_8 = Graph(8, 259514301)
 
 
 def test_pinned_witness_tau_star_dense_8(monkeypatch):
-    seen = _capture_lp(monkeypatch, exactnum)
+    seen = capture_unit_programs(monkeypatch)
     value, _ = packing.tau_star(_DENSE_8)
     prob, sol = seen[-1]
     assert (prob.num_vars, len(prob.constraints)) == (29, 23)
@@ -374,7 +404,7 @@ def test_pinned_witness_tau_star_dense_8(monkeypatch):
 
 
 def test_pinned_witness_r_tilde_dense_8(monkeypatch):
-    seen = _capture_lp(monkeypatch, exactnum)
+    seen = capture_unit_programs(monkeypatch)
     value, _ = packing.r_tilde(_DENSE_8)
     prob, sol = seen[-1]
     assert (prob.num_vars, len(prob.constraints)) == (278, 23)
@@ -389,7 +419,7 @@ def test_pinned_witness_r_tilde_dense_8(monkeypatch):
 
 
 def test_pinned_witness_r_induced_dense_8(monkeypatch):
-    seen = _capture_lp(monkeypatch, exactnum)
+    seen = capture_unit_programs(monkeypatch)
     value, _ = packing.r_induced(_DENSE_8)
     prob, sol = seen[-1]
     assert (prob.num_vars, len(prob.constraints)) == (56, 23)
@@ -409,7 +439,7 @@ def test_pinned_witness_weight_lp_k7_class_k4(monkeypatch):
     # those of the joint program over all 21 edges (rows: each 4-set's red
     # row, then its blue row), reassembled from the two blocks.
     c = TwoColoring(Graph(7, 7090))
-    seen = _capture_lp(monkeypatch, exactnum)
+    seen = capture_unit_programs(monkeypatch)
     value, _ = weighted_ramsey.r_of_coloring(c, 4)
     (red_prob, red_sol), (blue_prob, blue_sol) = seen
     assert (red_prob.num_vars, len(red_prob.constraints)) == (8, 34)
@@ -517,7 +547,7 @@ def test_kernel_inverse_matches_dense_oracle(prob):
 
 
 def test_weight_lp_blocks_match_dense_oracle(monkeypatch):
-    seen = _capture_lp(monkeypatch, exactnum)
+    seen = capture_unit_programs(monkeypatch)
     for n in range(3, 7):
         for c in enumerate_colorings(n):
             for k in range(3, n + 1):
@@ -525,6 +555,7 @@ def test_weight_lp_blocks_match_dense_oracle(monkeypatch):
     assert len(seen) == 750
     for prob, sol in seen:
         assert sol == dense_solve_lp(prob)
+        assert sol == solve_lp(prob)
 
 
 def _record_pivots(monkeypatch):
@@ -597,7 +628,7 @@ def test_crash_rows_with_scales_above_one(monkeypatch):
 
 
 def test_packing_lps_match_dense_oracle(monkeypatch):
-    seen = _capture_lp(monkeypatch, exactnum)
+    seen = capture_unit_programs(monkeypatch)
     rng = random.Random(2016)
     sizes = [rng.randint(3, 7) for _ in range(30)]
     graphs = [Graph(n, rng.getrandbits(n * (n - 1) // 2)) for n in sizes]
@@ -608,3 +639,4 @@ def test_packing_lps_match_dense_oracle(monkeypatch):
     assert len(seen) == 76
     for prob, sol in seen:
         assert sol == dense_solve_lp(prob)
+        assert sol == solve_lp(prob)

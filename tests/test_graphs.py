@@ -349,6 +349,17 @@ def test_graph_text_roundtrip():
         parse_graph("n 4\n0 1 2")
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(
+    st.integers(3, 6).flatmap(lambda n: st.builds(
+        lambda mask: TwoColoring(Graph(n, mask)),
+        st.integers(0, (1 << n * (n - 1) // 2) - 1))),
+    min_size=1, max_size=4))
+def test_coloring_records_roundtrip_property(colorings):
+    text = "".join(format_coloring(c) for c in colorings)
+    assert parse_colorings(text) == colorings
+
+
 def test_coloring_text_roundtrip():
     c = mono_triangle_free_k5()
     assert parse_coloring(format_coloring(c)) == c

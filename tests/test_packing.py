@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 import packing_oracle
+from dense_oracle import solve_lp as dense_solve_lp
+from unit_programs import capture_unit_programs
 from wramsey import exactnum, packing
 from wramsey.errors import CapabilityError, ContractViolationError, InputError
 from wramsey.graphs import Graph, TwoColoring, mono_triangle_free_k5
@@ -496,15 +498,8 @@ def test_triangles_and_integral_family_match_oracle():
 def test_packing_lps_match_oracle(monkeypatch, name):
     # The same LpProblems and LpSolutions, and the same witness entries in
     # the same order; the n = 9 graphs only feed the cheaper test above.
-    solve_lp = exactnum.solve_lp
-    seen = []
-
-    def recording_solve(prob):
-        sol = solve_lp(prob)
-        seen.append((prob, sol))
-        return sol
-
-    monkeypatch.setattr(exactnum, "solve_lp", recording_solve)
+    seen = capture_unit_programs(monkeypatch)
+    solved = 0
     for g in _oracle_corpus():
         if g.n > 8:
             continue
@@ -513,9 +508,15 @@ def test_packing_lps_match_oracle(monkeypatch, name):
         seen.clear()
         want, want_witness = getattr(packing_oracle, name)(g)
         assert ours == seen
+        # The unit path's solutions are those of solve_lp and of the dense
+        # oracle on the same LpProblems.
+        for prob, sol in ours:
+            assert sol == exactnum.solve_lp(prob) == dense_solve_lp(prob)
+        solved += len(seen)
         seen.clear()
         assert value == want
         assert list(witness.weights.items()) == list(want_witness.weights.items())
+    assert solved > 0
 
 
 def test_r_tilde_builds_descriptors_only_for_the_witness(monkeypatch):
