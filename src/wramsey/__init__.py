@@ -12,19 +12,7 @@ from .errors import (
     InputError,
     WramseyError,
 )
-from .exactnum import (
-    LpConstraint,
-    LpProblem,
-    LpSolution,
-    LpStatus,
-    Rational,
-    Relation,
-    Sense,
-    check_certificates,
-    constraint,
-    lp_problem,
-    solve_lp,
-)
+from .exactnum import Rational, Relation, Sense, solve_unit_program
 from .graphs import (
     CanonicalKey,
     Graph,

@@ -75,6 +75,7 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
+        _check_vertex_count(n)
         return cls(n, (1 << (n * (n - 1) // 2)) - 1)
 
     @classmethod
@@ -305,6 +306,7 @@ def turan_number(k: int, i: int) -> int:
 
 def turan_graph(n: int, i: int) -> Graph:
     """Complete i-partite graph on n vertices with near-equal parts."""
+    _check_vertex_count(n)
     if not 1 <= i <= n:
         raise InputError(f"turan_graph requires 1 <= i <= n, got i={i}, n={n}")
     part_of = blowup_part_of(i, n)
@@ -322,6 +324,7 @@ def balanced_blowup(base: TwoColoring, n: int) -> TwoColoring:
     are colored Red (a fixed choice: any color works, and such edges carry
     weight zero in every construction that consumes blow-ups).
     """
+    _check_vertex_count(n)
     m = base.n
     if n < m:
         raise InputError(f"blow-up target n={n} smaller than base size {m}")

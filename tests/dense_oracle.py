@@ -1,11 +1,12 @@
 """The dense fraction-free simplex, kept as a test oracle for ``exactnum``.
 
-``solve_lp`` here runs Bland's rule on the full tableau: every column of
-every decision, slack and artificial variable, plus the right-hand side,
-held as integer numerators over one positive common denominator and updated
-by Bareiss pivots.  ``exactnum.solve_lp`` keeps no tableau, only the
-integer inverse of the basis kernel, but it derives the same numerators
-d * B^-1 A for the same basis and picks pivots by the same rule, so on every
+``solve_unit`` here runs Bland's rule on the full 0/1 tableau of a unit
+program, given as (num_vars, rows, sense, relation): every column of every
+decision, slack and artificial variable, plus the right-hand side, held as
+integer numerators over one positive common denominator and updated by
+Bareiss pivots.  ``exactnum._solve`` keeps no tableau, only the integer
+inverse of the basis kernel, but it derives the same numerators d * B^-1 A
+for the same basis and picks pivots by the same rule, so on every unit
 program both must return the same ``LpSolution``: status, optimum, primal
 and dual.
 """
@@ -13,17 +14,9 @@ and dual.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from wramsey.errors import CapabilityError
-from wramsey.exactnum import (
-    LpProblem,
-    LpSolution,
-    LpStatus,
-    Relation,
-    Sense,
-    _validate,
-)
+from wramsey.exactnum import LpSolution, LpStatus, Relation, Sense
 
 _ZERO = Fraction(0)
 
@@ -106,43 +99,14 @@ def _run_simplex(rows: list[list[int]], orow: list[int], basis: list[int],
     raise CapabilityError(f"simplex exceeded the pivot limit of {_MAX_PIVOTS}")
 
 
-_FLIPPED = {Relation.LE: Relation.GE, Relation.GE: Relation.LE,
-            Relation.EQ: Relation.EQ}
-
-
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve an LP exactly on the dense tableau; status plus certificates."""
-    _validate(problem)
-    n = problem.num_vars
-    maximize = problem.sense is Sense.MAX
-    obj = [c if maximize else -c for c in problem.objective]
-    obj_scale = lcm(*(c.denominator for c in obj))
-    cost = [c.numerator * (obj_scale // c.denominator) for c in obj]
-
-    # Each row is flipped to a nonnegative right-hand side, then multiplied
-    # by row_scale[i], the LCM of its denominators, so that it is integral.
-    # The slack and artificial columns keep their unit entries.
-    m = len(problem.constraints)
-    dense: list[list[int]] = []
-    rels: list[Relation] = []
-    rhs: list[int] = []
-    flipped: list[bool] = []
-    row_scale: list[int] = []
-    for con in problem.constraints:
-        rel, b = con.relation, con.rhs
-        sign = 1
-        if b < 0:
-            sign = -1
-            rel = _FLIPPED[rel]
-        s = lcm(b.denominator, *(v.denominator for _, v in con.coeffs))
-        row = [0] * n
-        for idx, val in con.coeffs:
-            row[idx] = sign * val.numerator * (s // val.denominator)
-        dense.append(row)
-        rels.append(rel)
-        rhs.append(sign * b.numerator * (s // b.denominator))
-        flipped.append(sign < 0)
-        row_scale.append(s)
+def solve_unit(num_vars: int, index_rows, sense: Sense, relation: Relation) -> LpSolution:
+    """Solve a unit program exactly on the dense tableau: maximize or
+    minimize the sum of the variables, each index row's sum ``relation`` 1."""
+    n = num_vars
+    maximize = sense is Sense.MAX
+    cost = [1 if maximize else -1] * n
+    dense = [[1 if j in row else 0 for j in range(n)] for row in map(set, index_rows)]
+    m = len(dense)
 
     # Column layout: decisions, then one slack/surplus per inequality row,
     # then one artificial per >=/= row.  Artificial columns are kept through
@@ -151,12 +115,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     slack_col = [-1] * m
     art_col = [-1] * m
     ncols = n
-    for i, rel in enumerate(rels):
-        if rel in (Relation.LE, Relation.GE):
+    if relation is not Relation.EQ:
+        for i in range(m):
             slack_col[i] = ncols
             ncols += 1
-    for i, rel in enumerate(rels):
-        if rel in (Relation.GE, Relation.EQ):
+    if relation is not Relation.LE:
+        for i in range(m):
             art_col[i] = ncols
             ncols += 1
 
@@ -165,42 +129,27 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     # unit columns, so d starts at 1.
     rows: list[list[int]] = []
     for i in range(m):
-        row = dense[i] + [0] * (ncols - n) + [rhs[i]]
+        row = dense[i] + [0] * (ncols - n) + [1]
         if slack_col[i] >= 0:
-            row[slack_col[i]] = 1 if rels[i] is Relation.LE else -1
+            row[slack_col[i]] = 1 if relation is Relation.LE else -1
         if art_col[i] >= 0:
             row[art_col[i]] = 1
         rows.append(row)
     d = 1
 
     # Starting basis: slack for <= rows; for >=/= rows prefer a decision
-    # column whose only nonzero is an unscaled 1 (crash basis), falling back
+    # column whose only nonzero is in that row (crash basis), falling back
     # to the artificial.
     basis = [-1] * m
-    unit_row = [-1] * ncols
-    col_hits = [0] * n
-    for row in rows:
-        for j in range(n):
-            if row[j]:
-                col_hits[j] += 1
-    for j in range(n):
-        if col_hits[j] == 1:
-            for i in range(m):
-                if rows[i][j] == row_scale[i]:
-                    unit_row[j] = i
-                    break
     claimed = [False] * m
-    for i in range(m):
-        if rels[i] is Relation.LE:
-            basis[i] = slack_col[i]
-            claimed[i] = True
+    if relation is Relation.LE:
+        basis = slack_col[:]
+        claimed = [True] * m
     for j in range(n):
-        i = unit_row[j]
-        if i >= 0 and not claimed[i]:
-            basis[i] = j
-            claimed[i] = True
-            if row_scale[i] != 1:
-                d = _pivot(rows, None, basis, d, i, j)
+        hits = [i for i in range(m) if rows[i][j]]
+        if len(hits) == 1 and not claimed[hits[0]]:
+            basis[hits[0]] = j
+            claimed[hits[0]] = True
     for i in range(m):
         if not claimed[i]:
             basis[i] = art_col[i]
@@ -210,14 +159,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     art_rows = [i for i in range(m) if basis[i] == art_col[i]]
     if art_rows:
-        # Phase 1 minimizes the sum of the artificials of the unscaled rows:
-        # row i's artificial stands for row_scale[i] of them, so its row is
-        # weighted by art_scale / row_scale[i].
-        art_scale = lcm(*(row_scale[i] for i in art_rows))
+        # Phase 1 minimizes the sum of the artificials.
         orow1 = [0] * (ncols + 1)
         for i in art_rows:
-            w = art_scale // row_scale[i]
-            orow1 = [a + w * v if v else a for a, v in zip(orow1, rows[i])]
+            orow1 = [a + v if v else a for a, v in zip(orow1, rows[i])]
         for i in art_rows:
             orow1[art_col[i]] = 0
         _, d = _run_simplex(rows, orow1, basis, allowed, d)
@@ -243,9 +188,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if outcome == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED)
 
-    # Back to rationals: the numerators over d, the objective row over
-    # d * obj_scale, and each dual times its row's scale.
-    value = Fraction(-orow2[-1], d * obj_scale)
+    # Back to rationals: the numerators over d.
+    value = Fraction(-orow2[-1], d)
     primal = [_ZERO] * n
     for i, b in enumerate(basis):
         if b < n:
@@ -254,11 +198,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     dual: list[Fraction] = []
     sense_sign = 1 if maximize else -1
     for i in range(m):
-        sig = slack_col[i] if rels[i] is Relation.LE else art_col[i]
-        y = -orow2[sig] * row_scale[i]
-        if flipped[i]:
-            y = -y
-        dual.append(Fraction(y * sense_sign, d * obj_scale))
+        sig = slack_col[i] if relation is Relation.LE else art_col[i]
+        dual.append(Fraction(-orow2[sig] * sense_sign, d))
 
     return LpSolution(
         status=LpStatus.OPTIMAL,

@@ -5,7 +5,7 @@ as a ``SubgraphDescriptor`` up front (``induced_members``, ``all_members``),
 triangles come from a ``has_edge`` scan over all vertex triples, and the
 branch and bound works on frozensets of edge tuples.  ``wramsey.packing``
 reads all of them from ``Graph.induced_rows(3)`` instead, so on every graph
-both must pose the same ``LpProblem``s and return the same witnesses, in the
+both must pose the same unit programs and return the same witnesses, in the
 same order, and the same triangle families.
 """
 

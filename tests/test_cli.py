@@ -1,10 +1,13 @@
 """CLI behavior: outputs, exit codes, determinism, JSON round-trip."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -457,3 +460,119 @@ def test_bounds_tables_match_pinned_digest(capsys, table, as_json, digest):
     code, out, err = run_cli(capsys, "--stable", *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# True seven times in eight: Hypothesis draws the first entry most often.
+_MOSTLY = st.sampled_from([True] * 7 + [False])
+
+
+def _number(low: int, high: int):
+    """A command-line integer, now and then a token that is not one."""
+    return _MOSTLY.flatmap(lambda ok: st.integers(low, high).map(str) if ok else
+                           st.sampled_from(["", "x", "1.5", "-", "0x3", "10" * 12]))
+
+
+def _bend(draw, lines: list[str]) -> list[str]:
+    """The lines, or now and then one of them dropped, doubled or garbled."""
+    if draw(_MOSTLY):
+        return lines
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["drop", "double", "garble"]))
+    if how == "garble":
+        return lines[:i] + [draw(st.sampled_from(["x", "1", "0 1 2 3", "n", "0 1 G"]))] + lines[i + 1:]
+    return lines[:i] + lines[i + 1:] if how == "drop" else lines[:i] + lines[i:]
+
+
+@st.composite
+def _graph_text(draw):
+    """A graph file near the format: a header, then edge lines."""
+    n = draw(st.sampled_from([3, 4, 5, 6, 2, -1]))
+    vertex = st.integers(0, max(n - 1, 0)) if draw(_MOSTLY) else st.integers(-1, n)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    return "\n".join(_bend(draw, [f"n {n}"] + [f"{u} {v}" for u, v in edges])) + "\n"
+
+
+@st.composite
+def _coloring_text(draw):
+    """One or two coloring records near the format."""
+    text = ""
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(3, 5))
+        lines = [f"n {n}"] + [f"{u} {v} {draw(st.sampled_from('RB'))}"
+                              for u, v in combinations(range(n), 2)]
+        text += "\n".join(_bend(draw, lines)) + "\n"
+    return text
+
+
+def _file_bytes(text):
+    return _MOSTLY.flatmap(lambda ok: text.map(str.encode) if ok else st.binary(max_size=48))
+
+
+def _option(draw, argv: list[str], flag: str, value) -> None:
+    """Most of the time, append ``flag`` and a value drawn from ``value``."""
+    if draw(_MOSTLY):
+        argv += [flag, draw(value)]
+
+
+@st.composite
+def _cli_calls(draw):
+    """argv for one of the four subcommands, with small values and
+    ``--jobs 1``, and the bytes of the file it names (``FILE``), if any."""
+    argv = ["--jobs", "1"]
+    argv += [flag for flag in ("--stable", "--json") if draw(st.booleans())]
+    command = draw(st.sampled_from(["wram", "packing", "bounds", "verify"]))
+    argv.append(command)
+    content = None
+    if command == "wram":
+        mode = draw(st.sampled_from(["--exhaustive", "--file", "--exhaustive", "--file", "both", "neither"]))
+        if mode in ("--exhaustive", "both"):
+            argv.append("--exhaustive")
+        if mode in ("--file", "both"):
+            argv += ["--file", "FILE"]
+            content = draw(_file_bytes(_coloring_text()))
+        _option(draw, argv, "--n", _number(-1, 6))
+        _option(draw, argv, "--k", _number(-1, 7))
+    elif command == "packing":
+        if draw(_MOSTLY):
+            argv += ["--graph", "FILE"]
+            content = draw(_file_bytes(_graph_text()))
+        if draw(st.booleans()):
+            argv += ["--stat", draw(st.sampled_from(["all", "taustar", "tau", "r", "rtilde", "x"]))]
+        if draw(st.booleans()):
+            argv.append("--witness")
+    elif command == "bounds":
+        _option(draw, argv, "--table", st.sampled_from(["turan", "alpha", "ck", "lk", "x"]))
+        _option(draw, argv, "--kmax", _number(-2, 30))
+    else:
+        _option(draw, argv, "--construction", st.sampled_from(["k4", "blowup", "x"]))
+        _option(draw, argv, "--n", _number(-1, 6))
+        _option(draw, argv, "--k", _number(-1, 6))
+    return argv, content
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cli_calls())
+def test_exit_codes_and_messages_follow_the_contract(tmp_path_factory, call):
+    # 0 on success, 2 on input or parse errors, 3 on capability errors, 4 on
+    # a failed certificate, each with its stderr prefix; never a traceback.
+    argv, content = call
+    path = tmp_path_factory.mktemp("cli") / "input.txt"
+    if content is not None:
+        path.write_bytes(content)
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # Only argparse exits: a usage error, exit 2.
+            code = exc.code
+            assert code == 2 and err.getvalue().startswith("usage: ")
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == "" and out.getvalue()
+    elif code in (2, 3):
+        assert err.startswith(("error: ", "usage: ") if code == 2 else "error: ")
+    else:
+        assert code == 4 and err.startswith("certificate failure: ")

@@ -9,190 +9,150 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import wramsey
 from wramsey import exactnum, packing, weighted_ramsey
 from wramsey.errors import CertificateError, InputError
 from wramsey.exactnum import (
-    LpConstraint,
-    LpProblem,
     LpSolution,
     LpStatus,
     Relation,
     Sense,
-    check_certificates,
-    constraint,
-    lp_problem,
-    solve_lp,
     solve_unit_program,
 )
 from wramsey.graphs import Graph, TwoColoring, all_edges, enumerate_colorings
 
-from dense_oracle import solve_lp as dense_solve_lp
-from unit_programs import capture_unit_programs, unit_problem
+from dense_oracle import solve_unit as dense_solve_unit
+from unit_programs import capture_unit_programs
+
+
+def _solved(*args):
+    """The integer program of (num_vars, rows, sense, relation) and its solution."""
+    prog = exactnum._unit_program(*args)
+    return prog, exactnum._solve(prog)
 
 
 def test_single_binding_constraint():
-    prob = lp_problem(1, [1], Sense.MAX, [constraint({0: 1}, Relation.LE, 1)])
-    sol = solve_lp(prob)
+    prog, sol = _solved(1, [[0]], Sense.MAX, Relation.LE)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.optimum == 1
     assert sol.primal == (F(1),)
-    assert check_certificates(prob, sol)
+    assert exactnum._certified(prog, sol)
 
 
 def test_triangle_packing_of_k3_lp():
     # max g subject to g <= 1 on each of the 3 edges.
-    cons = [constraint({0: 1}, Relation.LE, 1) for _ in range(3)]
-    prob = lp_problem(1, [1], Sense.MAX, cons)
-    sol = solve_lp(prob)
+    prog, sol = _solved(1, [[0]] * 3, Sense.MAX, Relation.LE)
     assert sol.optimum == 1
-    assert check_certificates(prob, sol)
+    assert exactnum._certified(prog, sol)
 
 
-def _k4_cover_problem():
+def _k4_cover_rows():
     # min total weight over the 4 triangles of K4 covering each of 6 edges.
     tris = list(combinations(range(4), 3))
-    edges = list(combinations(range(4), 2))
-    cons = []
-    for e in edges:
-        row = {t: 1 for t, tri in enumerate(tris) if set(e) <= set(tri)}
-        cons.append(constraint(row, Relation.GE, 1))
-    return lp_problem(4, [1] * 4, Sense.MIN, cons)
+    return [[t for t, tri in enumerate(tris) if set(e) <= set(tri)]
+            for e in combinations(range(4), 2)]
 
 
 def test_k4_cover_lp_optimum_two():
-    prob = _k4_cover_problem()
+    rows = _k4_cover_rows()
     # Independent certificate pair: y = 1/2 on each triangle is feasible
     # (each edge lies in exactly 2 triangles) with objective 2, and w = 1/3
     # per edge is feasible for the dual (each triangle holds 3 edges) with
     # the same objective, so 2 is optimal before the solver ever runs.
-    for e_cons in prob.constraints:
-        assert sum(v * F(1, 2) for _, v in e_cons.coeffs) >= 1
+    for row in rows:
+        assert len(row) * F(1, 2) >= 1
     assert 4 * F(1, 2) == 2
     assert 6 * F(1, 3) == 2
 
-    sol = solve_lp(prob)
+    prog, sol = _solved(4, rows, Sense.MIN, Relation.GE)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.optimum == 2
-    assert check_certificates(prob, sol)
+    assert exactnum._certified(prog, sol)
 
 
 def test_certificates_reject_perturbed_optimum():
-    cons = [constraint({0: 1}, Relation.LE, 1) for _ in range(3)]
-    prob = lp_problem(1, [1], Sense.MAX, cons)
-    sol = solve_lp(prob)
+    prog, sol = _solved(1, [[0]] * 3, Sense.MAX, Relation.LE)
     bad = LpSolution(LpStatus.OPTIMAL, sol.optimum + F(1, 1000), sol.primal, sol.dual)
-    assert check_certificates(prob, sol)
-    assert not check_certificates(prob, bad)
+    assert exactnum._certified(prog, sol)
+    assert not exactnum._certified(prog, bad)
 
 
 def test_unbounded_with_no_constraints():
-    prob = lp_problem(1, [1], Sense.MAX, [])
-    assert solve_lp(prob).status is LpStatus.UNBOUNDED
+    _, sol = _solved(1, [], Sense.MAX, Relation.LE)
+    assert sol.status is LpStatus.UNBOUNDED
 
 
-def test_infeasible_negative_upper_bound():
-    prob = lp_problem(1, [1], Sense.MAX, [constraint({0: 1}, Relation.LE, -1)])
-    assert solve_lp(prob).status is LpStatus.INFEASIBLE
+def test_infeasible_unit_programs():
+    for args in [
+        # x0 = x1 = 1 from the last two rows breaks the first.
+        (2, [[0, 1], [0], [1]], Sense.MAX, Relation.EQ),
+        # An empty row cannot reach 1.
+        (1, [[0], []], Sense.MIN, Relation.GE),
+    ]:
+        _, sol = _solved(*args)
+        assert sol.status is LpStatus.INFEASIBLE
+        assert sol == dense_solve_unit(*args)
 
 
 def test_min_with_ge_row():
-    prob = lp_problem(1, [1], Sense.MIN, [constraint({0: 1}, Relation.GE, 3)])
-    sol = solve_lp(prob)
+    prog, sol = _solved(3, [[0], [1], [2]], Sense.MIN, Relation.GE)
     assert sol.optimum == 3
-    assert check_certificates(prob, sol)
+    assert exactnum._certified(prog, sol)
 
 
 def test_equality_row():
-    prob = lp_problem(2, [1, 1], Sense.MAX, [
-        constraint({0: 1, 1: 1}, Relation.EQ, 5),
-        constraint({0: 1}, Relation.LE, 2),
-    ])
-    sol = solve_lp(prob)
+    # Five disjoint pairs, each summing to exactly 1.
+    prog, sol = _solved(10, [[j, j + 1] for j in range(0, 10, 2)], Sense.MAX, Relation.EQ)
     assert sol.optimum == 5
-    assert check_certificates(prob, sol)
-
-
-def test_mixed_relations_min():
-    prob = lp_problem(2, [2, 3], Sense.MIN, [
-        constraint({0: 1, 1: 1}, Relation.GE, 4),
-        constraint({0: 1, 1: -1}, Relation.LE, 1),
-        constraint({1: 1}, Relation.LE, 3),
-    ])
-    sol = solve_lp(prob)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.optimum == F(19, 2)
-    assert sol.primal == (F(5, 2), F(3, 2))
-    assert check_certificates(prob, sol)
-
-
-def test_beale_degenerate_example_terminates():
-    # A classic cycling trap for naive pivot rules; Bland must finish.
-    prob = lp_problem(
-        4,
-        [F(3, 4), -150, F(1, 50), -6],
-        Sense.MAX,
-        [
-            constraint({0: F(1, 4), 1: -60, 2: F(-1, 25), 3: 9}, Relation.LE, 0),
-            constraint({0: F(1, 2), 1: -90, 2: F(-1, 50), 3: 3}, Relation.LE, 0),
-            constraint({2: 1}, Relation.LE, 1),
-        ],
-    )
-    sol = solve_lp(prob)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.optimum == F(1, 20)
-    assert check_certificates(prob, sol)
+    assert exactnum._certified(prog, sol)
 
 
 def test_bad_variable_index_rejected():
-    with pytest.raises(InputError):
-        lp_problem(2, [1, 1], Sense.MAX, [constraint({2: 1}, Relation.LE, 1)])
-
-
-def test_duplicate_indices_merge():
-    con = constraint([(0, 1), (0, 2)], Relation.LE, 4)
-    assert con.coeffs == ((0, F(3)),)
+    with pytest.raises(InputError, match="^constraint 0 references variable 2$"):
+        solve_unit_program(2, [[2]], Sense.MAX, Relation.LE, "demo LP")
+    with pytest.raises(InputError, match="^constraint 1 references variable -1$"):
+        solve_unit_program(2, [[0], [-1]], Sense.MAX, Relation.LE, "demo LP")
 
 
 def test_repeated_variable_in_a_direct_row_rejected():
-    # constraint() merges repeats; a row built directly must not name one
-    # variable twice, since solve_lp and check_certificates would read it
-    # differently.
-    row = LpConstraint(((0, F(1)), (0, F(1))), Relation.LE, F(1))
-    with pytest.raises(InputError, match="^constraint 1 names variable 0 twice$"):
-        lp_problem(1, [1], Sense.MAX, [constraint({0: 1}, Relation.LE, 2), row])
-    with pytest.raises(InputError, match="^constraint 0 names variable 0 twice$"):
-        solve_lp(LpProblem(1, (F(1),), Sense.MAX, (row,)))
+    # A row must not name one variable twice: its sum would count it twice.
     with pytest.raises(InputError, match="^constraint 0 names variable 0 twice$"):
         solve_unit_program(1, [[0, 0]], Sense.MAX, Relation.LE, "demo LP")
+    with pytest.raises(InputError, match="^constraint 1 names variable 0 twice$"):
+        solve_unit_program(1, [[0], [0, 0]], Sense.MAX, Relation.LE, "demo LP")
 
 
-def _random_problem(rng: random.Random):
+def test_negative_variable_count_rejected():
+    with pytest.raises(InputError, match="^num_vars must be nonnegative$"):
+        solve_unit_program(-1, [], Sense.MAX, Relation.LE, "demo LP")
+
+
+def test_package_exports_the_unit_program_api():
+    assert wramsey.solve_unit_program is solve_unit_program
+    assert (wramsey.Sense, wramsey.Relation, wramsey.Rational) == (Sense, Relation, F)
+    assert wramsey.solve_unit_program(3, [[0, 1], [1, 2]], Sense.MAX, Relation.LE, "demo LP") == (
+        2, (1, 0, 1))
+
+
+def _random_program(rng: random.Random):
     n = rng.randint(1, 4)
-    m = rng.randint(1, 5)
-    sense = rng.choice([Sense.MAX, Sense.MIN])
-    obj = [F(rng.randint(-4, 4)) for _ in range(n)]
-    cons = []
-    for _ in range(m):
-        row = {j: F(rng.randint(-3, 3)) for j in range(n)}
-        rel = rng.choice([Relation.LE, Relation.GE, Relation.EQ])
-        cons.append(constraint(row, rel, F(rng.randint(-4, 6))))
-    return lp_problem(n, obj, sense, cons)
+    rows = [[j for j in range(n) if rng.random() < 0.5] for _ in range(rng.randint(1, 5))]
+    return n, rows, rng.choice(list(Sense)), rng.choice(list(Relation))
 
 
 def test_random_problems_certify_and_commute():
     rng = random.Random(1789)
     optimal = 0
     for _ in range(250):
-        prob = _random_problem(rng)
-        sol = solve_lp(prob)
+        n, rows, sense, relation = _random_program(rng)
+        prog, sol = _solved(n, rows, sense, relation)
         if sol.status is LpStatus.OPTIMAL:
             optimal += 1
-            assert check_certificates(prob, sol)
-            # Constraint order must not change the optimum value.
-            shuffled = list(prob.constraints)
+            assert exactnum._certified(prog, sol)
+            # Row order must not change the optimum value.
+            shuffled = list(rows)
             rng.shuffle(shuffled)
-            prob2 = lp_problem(prob.num_vars, prob.objective, prob.sense, shuffled)
-            sol2 = solve_lp(prob2)
+            _, sol2 = _solved(n, shuffled, sense, relation)
             assert sol2.status is LpStatus.OPTIMAL
             assert sol2.optimum == sol.optimum
     assert optimal > 50
@@ -201,8 +161,8 @@ def test_random_problems_certify_and_commute():
 def test_deterministic_resolve():
     rng = random.Random(7)
     for _ in range(25):
-        prob = _random_problem(rng)
-        assert solve_lp(prob) == solve_lp(prob)
+        args = _random_program(rng)
+        assert _solved(*args)[1] == _solved(*args)[1]
 
 
 _SMALL_RATIONALS = st.builds(
@@ -211,108 +171,86 @@ _SMALL_RATIONALS = st.builds(
 
 
 @st.composite
-def _small_lps(draw):
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(0, 5))
-    integral = draw(st.booleans())
-    value = st.integers(-4, 4).map(F) if integral else _SMALL_RATIONALS
-    cons = [
-        constraint(
-            {j: draw(value) for j in range(n)},
-            draw(st.sampled_from(list(Relation))),
-            draw(value),
-        )
-        for _ in range(m)
-    ]
-    objective = [draw(value) for _ in range(n)]
-    return lp_problem(n, objective, draw(st.sampled_from(list(Sense))), cons)
+def _unit_programs(draw):
+    """num_vars, index rows, sense and relation of a small unit program."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, n - 1), unique=True, max_size=n), max_size=6))
+    return n, rows, draw(st.sampled_from(list(Sense))), draw(st.sampled_from(list(Relation)))
 
 
-def _highs(prob):
-    """The same LP in floating point through SciPy's HiGHS solver."""
-    sign = -1.0 if prob.sense is Sense.MAX else 1.0
-    c = [sign * float(v) for v in prob.objective]
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for con in prob.constraints:
-        row = [0.0] * prob.num_vars
-        for idx, val in con.coeffs:
-            row[idx] = float(val)
-        if con.relation is Relation.LE:
-            a_ub.append(row)
-            b_ub.append(float(con.rhs))
-        elif con.relation is Relation.GE:
-            a_ub.append([-v for v in row])
-            b_ub.append(-float(con.rhs))
-        else:
-            a_eq.append(row)
-            b_eq.append(float(con.rhs))
-    res = linprog(
-        c,
-        A_ub=a_ub or None, b_ub=b_ub or None,
-        A_eq=a_eq or None, b_eq=b_eq or None,
-        bounds=(0, None), method="highs",
-    )
+def _highs(num_vars, rows, sense, relation):
+    """The same unit program in floating point through SciPy's HiGHS solver."""
+    sign = -1.0 if sense is Sense.MAX else 1.0
+    dense = [[1.0 if j in row else 0.0 for j in range(num_vars)] for row in rows]
+    ones = [1.0] * len(rows)
+    if relation is Relation.GE:
+        dense = [[-v for v in row] for row in dense]
+        ones = [-1.0] * len(rows)
+    bound = {"A_eq" if relation is Relation.EQ else "A_ub": dense or None,
+             "b_eq" if relation is Relation.EQ else "b_ub": ones or None}
+    res = linprog([sign] * num_vars, bounds=(0, None), method="highs", **bound)
     status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
     return status[res.status], (sign * res.fun if res.status == 0 else None)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_small_lps())
-def test_random_lps_certify_and_agree_with_highs(prob):
-    sol = solve_lp(prob)
-    status, optimum = _highs(prob)
+@given(_unit_programs())
+def test_random_lps_certify_and_agree_with_highs(args):
+    prog, sol = _solved(*args)
+    status, optimum = _highs(*args)
     assert sol.status is status
     if sol.status is LpStatus.OPTIMAL:
-        assert check_certificates(prob, sol)
+        assert exactnum._certified(prog, sol)
         assert abs(float(sol.optimum) - optimum) <= 1e-9 * max(1.0, abs(optimum))
 
 
-def _fraction_check_certificates(problem, solution) -> bool:
-    """Oracle: the same three certificate checks summed in Fractions."""
+def _fraction_check_certificates(args, solution) -> bool:
+    """Oracle: the same certificate checks on a unit program, summed in Fractions."""
+    num_vars, rows, sense, relation = args
     if solution.status is not LpStatus.OPTIMAL or solution.optimum is None:
         return False
     x = solution.primal
     y = solution.dual
-    if len(x) != problem.num_vars or len(y) != len(problem.constraints):
+    if len(x) != num_vars or len(y) != len(rows):
         return False
     if any(v < 0 for v in x):
         return False
-    for con in problem.constraints:
-        lhs = sum((val * x[idx] for idx, val in con.coeffs), F(0))
-        if con.relation is Relation.LE and not lhs <= con.rhs:
+    for row in rows:
+        lhs = sum((x[j] for j in row), F(0))
+        if relation is Relation.LE and not lhs <= 1:
             return False
-        if con.relation is Relation.GE and not lhs >= con.rhs:
+        if relation is Relation.GE and not lhs >= 1:
             return False
-        if con.relation is Relation.EQ and lhs != con.rhs:
+        if relation is Relation.EQ and lhs != 1:
             return False
-    cx = sum((c * v for c, v in zip(problem.objective, x)), F(0))
-    by = sum((con.rhs * yi for con, yi in zip(problem.constraints, y)), F(0))
-    if cx != solution.optimum or by != solution.optimum:
+    if sum(x, F(0)) != solution.optimum or sum(y, F(0)) != solution.optimum:
         return False
-    maximize = problem.sense is Sense.MAX
-    for con, yi in zip(problem.constraints, y):
-        if con.relation is Relation.LE and (yi < 0 if maximize else yi > 0):
+    maximize = sense is Sense.MAX
+    for yi in y:
+        if relation is Relation.LE and (yi < 0 if maximize else yi > 0):
             return False
-        if con.relation is Relation.GE and (yi > 0 if maximize else yi < 0):
+        if relation is Relation.GE and (yi > 0 if maximize else yi < 0):
             return False
-    reduced = list(problem.objective)
-    for con, yi in zip(problem.constraints, y):
-        for idx, val in con.coeffs:
-            reduced[idx] -= yi * val
+    reduced = [F(1)] * num_vars
+    for row, yi in zip(rows, y):
+        for j in row:
+            reduced[j] -= yi
     if maximize:
         return all(r <= 0 for r in reduced)
     return all(r >= 0 for r in reduced)
 
 
-def _tampered(data, prob, sol):
+def _tampered(data, args, sol):
     """The solver's pair, or one with a single entry moved, or a random one."""
+    num_vars, rows = args[0], args[1]
     shift = data.draw(_SMALL_RATIONALS)
     kind = data.draw(st.sampled_from(
         ["none", "primal", "dual", "optimum", "scale_dual", "random", "short"]
     ))
     if sol.status is not LpStatus.OPTIMAL or kind == "random":
-        m = len(prob.constraints)
-        x = data.draw(st.lists(_SMALL_RATIONALS, min_size=prob.num_vars, max_size=prob.num_vars))
+        m = len(rows)
+        x = data.draw(st.lists(_SMALL_RATIONALS, min_size=num_vars, max_size=num_vars))
         y = data.draw(st.lists(_SMALL_RATIONALS, min_size=m, max_size=m))
         return LpSolution(LpStatus.OPTIMAL, data.draw(_SMALL_RATIONALS), tuple(x), tuple(y))
     x, y, opt = list(sol.primal), list(sol.dual), sol.optimum
@@ -329,36 +267,58 @@ def _tampered(data, prob, sol):
     return LpSolution(sol.status, opt, tuple(x), tuple(y))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(_small_lps(), st.data())
-def test_integer_certificate_check_matches_fraction_oracle(prob, data):
-    sol = solve_lp(prob)
-    assert check_certificates(prob, sol) == _fraction_check_certificates(prob, sol)
-    pair = _tampered(data, prob, sol)
-    assert check_certificates(prob, pair) == _fraction_check_certificates(prob, pair)
-
-
 @st.composite
-def _unit_programs(draw):
-    """num_vars, index rows, sense and relation of a small unit program."""
+def _oracle_programs(draw):
+    """A small unit program without empty rows, plus rows and columns that
+    force the solver's side paths.
+
+    crash: a fresh variable alone in a row, so a >= or = row takes it into
+    the crash basis.  drive_out: = rows and a copy of one of them, so an
+    artificial may stay basic after phase 1 and leave in the drive-out.
+    infeasible: an empty row, which a >= or = row cannot satisfy.
+    unbounded: a fresh variable in no row, which a max program rewards.
+    """
     n = draw(st.integers(1, 5))
-    rows = draw(st.lists(
-        st.lists(st.integers(0, n - 1), unique=True, max_size=n), max_size=6))
-    return n, rows, draw(st.sampled_from(list(Sense))), draw(st.sampled_from(list(Relation)))
+    rows = draw(st.lists(st.lists(
+        st.integers(0, n - 1), unique=True, min_size=1, max_size=n), max_size=6))
+    sense = draw(st.sampled_from(list(Sense)))
+    relation = draw(st.sampled_from(list(Relation)))
+    extras = draw(st.sets(st.sampled_from(
+        ["crash", "drive_out", "infeasible", "unbounded"])))
+    if "crash" in extras:
+        rows.append([j for j in range(n) if draw(st.booleans())] + [n])
+        n += 1
+    if "drive_out" in extras:
+        relation = Relation.EQ
+        rows.append(draw(st.sampled_from(rows)) if rows else [0])
+    if "infeasible" in extras:
+        rows.append([])
+    if "unbounded" in extras:
+        n += 1
+    return n, rows, sense, relation
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_oracle_programs(), st.data())
+def test_integer_certificate_check_matches_fraction_oracle(args, data):
+    # The integer check, on the solver's pair and on tampered ones, against
+    # the Fraction oracle, on programs that reach every side path.
+    prog, sol = _solved(*args)
+    assert exactnum._certified(prog, sol) == _fraction_check_certificates(args, sol)
+    pair = _tampered(data, args, sol)
+    assert exactnum._certified(prog, pair) == _fraction_check_certificates(args, pair)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_unit_programs(), st.data())
 def test_unit_certificate_check_matches_fraction_oracle(args, data):
-    # The unit path's integer check, on the solver's pair and on tampered
-    # ones, against the Fraction oracle on the LpProblem the rows stand for.
-    prog = exactnum._unit_program(*args)
-    prob = unit_problem(*args)
-    sol = exactnum._solve(prog)
-    assert sol == solve_lp(prob)
-    assert exactnum._certified(prog, sol) == _fraction_check_certificates(prob, sol)
-    pair = _tampered(data, prob, sol)
-    assert exactnum._certified(prog, pair) == _fraction_check_certificates(prob, pair)
+    # The integer check, on the solver's pair and on tampered ones, against
+    # the Fraction oracle; the solver's pair is the dense oracle's.
+    prog, sol = _solved(*args)
+    assert sol == dense_solve_unit(*args)
+    assert exactnum._certified(prog, sol) == _fraction_check_certificates(args, sol)
+    pair = _tampered(data, args, sol)
+    assert exactnum._certified(prog, pair) == _fraction_check_certificates(args, pair)
 
 
 @pytest.mark.parametrize("sense, relation, optimum, wrong_dual", [
@@ -371,13 +331,12 @@ def test_unit_certificate_check_rejects_a_dual_of_the_wrong_sign(
     # Two copies of the row x0 <relation> 1: moving dual weight from one copy
     # to the other keeps b.y and A^T y, so only the sign check can object.
     args = (1, [[0], [0]], sense, relation)
-    prog = exactnum._unit_program(*args)
-    sol = exactnum._solve(prog)
+    prog, sol = _solved(*args)
     assert sol.optimum == optimum
     assert exactnum._certified(prog, sol)
     bad = LpSolution(LpStatus.OPTIMAL, sol.optimum, sol.primal, tuple(map(F, wrong_dual)))
     assert not exactnum._certified(prog, bad)
-    assert not _fraction_check_certificates(unit_problem(*args), bad)
+    assert not _fraction_check_certificates(args, bad)
 
 
 def _nonzero(values):
@@ -391,8 +350,8 @@ _DENSE_8 = Graph(8, 259514301)
 def test_pinned_witness_tau_star_dense_8(monkeypatch):
     seen = capture_unit_programs(monkeypatch)
     value, _ = packing.tau_star(_DENSE_8)
-    prob, sol = seen[-1]
-    assert (prob.num_vars, len(prob.constraints)) == (29, 23)
+    (num_vars, rows, _, _), sol = seen[-1]
+    assert (num_vars, len(rows)) == (29, 23)
     assert value == sol.optimum == F(23, 3)
     assert _nonzero(sol.primal) == {
         0: "1/2", 1: "1/3", 3: "1/6", 4: "1/6", 5: "1/3", 6: "1/2", 7: "1/2",
@@ -406,8 +365,8 @@ def test_pinned_witness_tau_star_dense_8(monkeypatch):
 def test_pinned_witness_r_tilde_dense_8(monkeypatch):
     seen = capture_unit_programs(monkeypatch)
     value, _ = packing.r_tilde(_DENSE_8)
-    prob, sol = seen[-1]
-    assert (prob.num_vars, len(prob.constraints)) == (278, 23)
+    (num_vars, rows, _, _), sol = seen[-1]
+    assert (num_vars, len(rows)) == (278, 23)
     assert value == sol.optimum == F(23, 3)
     assert _nonzero(sol.primal) == {
         9: "1/2", 16: "1/3", 30: "1/6", 51: "1/6", 61: "1/3", 71: "1/2",
@@ -421,8 +380,8 @@ def test_pinned_witness_r_tilde_dense_8(monkeypatch):
 def test_pinned_witness_r_induced_dense_8(monkeypatch):
     seen = capture_unit_programs(monkeypatch)
     value, _ = packing.r_induced(_DENSE_8)
-    prob, sol = seen[-1]
-    assert (prob.num_vars, len(prob.constraints)) == (56, 23)
+    (num_vars, rows, _, _), sol = seen[-1]
+    assert (num_vars, len(rows)) == (56, 23)
     assert value == sol.optimum == F(23, 3)
     assert _nonzero(sol.primal) == {
         1: "1/2", 2: "1/3", 4: "1/6", 11: "1/6", 13: "1/3", 15: "1/2",
@@ -441,9 +400,9 @@ def test_pinned_witness_weight_lp_k7_class_k4(monkeypatch):
     c = TwoColoring(Graph(7, 7090))
     seen = capture_unit_programs(monkeypatch)
     value, _ = weighted_ramsey.r_of_coloring(c, 4)
-    (red_prob, red_sol), (blue_prob, blue_sol) = seen
-    assert (red_prob.num_vars, len(red_prob.constraints)) == (8, 34)
-    assert (blue_prob.num_vars, len(blue_prob.constraints)) == (13, 35)
+    (red, red_sol), (blue, blue_sol) = seen
+    assert (red[0], len(red[1])) == (8, 34)
+    assert (blue[0], len(blue[1])) == (13, 35)
     assert value == red_sol.optimum + blue_sol.optimum == F(157, 30)
     weight = dict(zip(c.red.edges(), red_sol.primal))
     weight.update(zip(c.blue.edges(), blue_sol.primal))
@@ -474,76 +433,11 @@ def test_unit_program_failures_name_the_program():
         solve_unit_program(2, [], Sense.MAX, Relation.LE, "demo LP")
 
 
-def test_rational_rows_keep_the_rational_pivot_path():
-    # Both programs have more than one optimal vertex, so the witness shows
-    # which pivots were taken.  x0 enters the crash basis because its
-    # coefficient in the row is 1 before the row is scaled to integers.
-    prob = lp_problem(4, [1, F(1, 4), F(3, 5), F(1, 3)], Sense.MIN, [
-        constraint({0: 1, 3: F(1, 3)}, Relation.EQ, 2),
-    ])
-    sol = solve_lp(prob)
-    assert (sol.optimum, sol.primal, sol.dual) == (2, (2, 0, 0, 0), (1,))
-    # Phase 1 sums the artificials of the unscaled rows, whatever scale the
-    # >= row is given.
-    prob = lp_problem(4, [F(-2, 3), 0, F(-1, 4), F(-1, 5)], Sense.MAX, [
-        constraint({1: 1, 2: -1, 3: 1}, Relation.EQ, 2),
-        constraint({1: -2, 2: 1, 3: F(1, 2)}, Relation.GE, 1),
-    ])
-    sol = solve_lp(prob)
-    assert sol.optimum == F(-2, 5)
-    assert sol.primal == (0, 0, 0, 2)
-    assert sol.dual == (F(-1, 20), F(-3, 10))
-
-
-@st.composite
-def _oracle_lps(draw):
-    """A small LP plus rows and columns that force the solver's side paths.
-
-    crash: a >= or = row over a fresh column with an unscaled 1 and a row
-    scale above 1, so the crash basis pivots.  redundant: a doubled copy of
-    an = row, so an artificial may stay basic after phase 1.  drive_out: an
-    = row of nonpositive entries with a zero right-hand side, whose
-    artificial leaves only in the drive-out, on a negative pivot.
-    infeasible: x0 <= 1 and x0 >= 2.  unbounded: a fresh column in no row
-    that the objective rewards.
-    """
-    prob = draw(_small_lps())
-    n = prob.num_vars
-    objective = list(prob.objective)
-    cons = list(prob.constraints)
-    extras = draw(st.sets(st.sampled_from(
-        ["crash", "redundant", "drive_out", "infeasible", "unbounded"])))
-    if "crash" in extras:
-        other = {j: draw(_SMALL_RATIONALS) for j in range(n) if draw(st.booleans())}
-        cons.append(constraint(
-            {**other, n: 1},
-            draw(st.sampled_from([Relation.GE, Relation.EQ])),
-            F(draw(st.integers(1, 5)), draw(st.sampled_from([2, 3, 4]))),
-        ))
-        objective.append(draw(_SMALL_RATIONALS))
-        n += 1
-    if "redundant" in extras:
-        row = {j: draw(st.integers(-3, 3)) for j in range(n)}
-        rhs = draw(st.integers(-4, 4))
-        cons.append(constraint(row, Relation.EQ, rhs))
-        cons.append(constraint({j: 2 * v for j, v in row.items()}, Relation.EQ, 2 * rhs))
-    if "drive_out" in extras:
-        cons.append(constraint(
-            {j: -draw(st.integers(0, 3)) for j in range(n)}, Relation.EQ, 0))
-    if "infeasible" in extras:
-        cons.append(constraint({0: 1}, Relation.LE, 1))
-        cons.append(constraint({0: 1}, Relation.GE, 2))
-    if "unbounded" in extras:
-        objective.append(1 if prob.sense is Sense.MAX else -1)
-        n += 1
-    return lp_problem(n, objective, prob.sense, cons)
-
-
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(_oracle_lps())
-def test_kernel_inverse_matches_dense_oracle(prob):
+@given(_oracle_programs())
+def test_kernel_inverse_matches_dense_oracle(args):
     # Same status, optimum, primal and dual: the same pivot path.
-    assert solve_lp(prob) == dense_solve_lp(prob)
+    assert _solved(*args)[1] == dense_solve_unit(*args)
 
 
 def test_weight_lp_blocks_match_dense_oracle(monkeypatch):
@@ -553,13 +447,27 @@ def test_weight_lp_blocks_match_dense_oracle(monkeypatch):
             for k in range(3, n + 1):
                 weighted_ramsey.r_of_coloring(c, k)
     assert len(seen) == 750
-    for prob, sol in seen:
-        assert sol == dense_solve_lp(prob)
-        assert sol == solve_lp(prob)
+    for program, sol in seen:
+        assert sol == dense_solve_unit(*program)
+
+
+def _assert_kernel_exact(kern):
+    """d * K^-1 inverts the kernel and the basic values solve every row,
+    checked against the columns rather than the pivots that built them."""
+    d, crow, cols, rows = kern.d, kern.crow, kern.cols, kern.rows
+    assert d > 0
+    for s, row in enumerate(kern.inv):
+        for s2, j in enumerate(cols):
+            entry = sum(row[c] for c in range(1, len(rows)) if rows[c] in crow[j])
+            assert entry == (d if s == s2 else 0)
+    for i, sig in enumerate(kern.sig):
+        total = sum(row[0] for j, row in zip(cols, kern.inv) if i in crow[j])
+        assert total + sig * kern.lx[i] == d
 
 
 def _record_pivots(monkeypatch):
-    """Record (entering id, leaving id, pivot entry) of every pivot taken."""
+    """Record (entering id, leaving id, pivot entry) of every pivot taken,
+    and check the kernel after each."""
     seen = []
     pivot = exactnum._Kernel.pivot
 
@@ -568,63 +476,62 @@ def _record_pivots(monkeypatch):
             seen.append((q, kern.cols[s_out], alpha[s_out]))
         else:
             seen.append((q, kern.lvar[i_out], t[i_out]))
-        return pivot(kern, q, alpha, t, s_out, i_out, rc, pi)
+        pi = pivot(kern, q, alpha, t, s_out, i_out, rc, pi)
+        _assert_kernel_exact(kern)
+        return pi
 
     monkeypatch.setattr(exactnum._Kernel, "pivot", recording)
     return seen
 
 
-def test_own_surplus_drives_out_an_empty_ge_row(monkeypatch):
-    # 0 >= 0 leaves its artificial basic at zero after phase 1.  Only the
-    # row's own surplus (id 2) has a nonzero entry in the artificial's row,
-    # -d, so the drive-out pivots on a negative entry and the kernel keeps
-    # its shape; x0 then enters in place of the slack of row 0.
+def test_own_surplus_drives_out_an_empty_ge_row():
+    # Row 1 of x0 >= 1, 0 >= 1 is empty, so phase 1 stops the program as
+    # infeasible before any drive-out; the pivot is taken here on the
+    # kernel directly, from the basis _solve starts from.  The crash basis
+    # holds x0 in row 0 and row 1's artificial (id 4) at 1.  Only the row's
+    # own surplus (id 2) has a nonzero entry in the artificial's row, -d,
+    # so the pivot is on a negative entry and the kernel keeps its shape;
+    # the surplus then holds -1, and the negation keeps d = 1.
+    prog = exactnum._unit_program(1, [[0], []], Sense.MAX, Relation.GE)
+    kern = exactnum._Kernel(prog.crow, [(0, -1), (1, -1)], [3, 4])
+    kern.lvar[0] = -1
+    kern.crash([(0, 0)])
+    alpha, t = kern.column(2)
+    assert t == {1: -1}
+    kern.pivot(2, alpha, t, -1, 1, 0, None)
+    assert (kern.d, kern.inv, kern.rows, kern.lvar, kern.sig, kern.lx) == (
+        1, [[1, 1]], [2, 0], [-1, 2], [0, -1], [0, -1])
+    _assert_kernel_exact(kern)
+
+
+def test_drive_out_pivots_on_a_negative_entry(monkeypatch):
+    # x1 lies only in row 1, so the crash basis takes it there.  x0 (id 0)
+    # enters in phase 1 and ties with row 0's artificial (id 4); the
+    # smaller id, x1, leaves, so the artificial stays basic at zero.  Only
+    # x1 has a nonzero entry in the artificial's row, -d, so the drive-out
+    # pivots on a negative entry, the kernel grows by row 0 and the whole
+    # basis is negated to keep d positive.
     seen = _record_pivots(monkeypatch)
-    prob = lp_problem(1, [1], Sense.MAX, [
-        constraint({0: 1}, Relation.LE, 2),
-        constraint({}, Relation.GE, 0),
-    ])
-    sol = solve_lp(prob)
-    assert sol == dense_solve_lp(prob)
-    assert (sol.optimum, sol.primal, sol.dual) == (2, (2,), (1, 0))
-    assert [(q, p) for q, _, p in seen] == [(2, -1), (0, 1)]
-    assert check_certificates(prob, sol)
+    args = (2, [[0], [0, 1]], Sense.MAX, Relation.EQ)
+    prog, sol = _solved(*args)
+    assert sol == dense_solve_unit(*args)
+    assert (sol.optimum, sol.primal, sol.dual) == (1, (1, 0), (0, 1))
+    assert seen == [(0, 1, 1), (1, 4, -1)]
+    assert exactnum._certified(prog, sol)
 
 
 def test_slacks_leave_and_reenter_at_other_kernel_columns(monkeypatch):
-    # The slacks of rows 0, 2 and 1 (ids 3, 5 and 4) leave in turn, so the
-    # kernel columns belong to rows [0, 2, 1].  When slack 3 comes back,
-    # row 1's column moves into row 0's place, and slack 4 then re-enters
-    # from there.
+    # The slacks of rows 1, 3, 4, 2 and 0 (ids 8, 10, 11, 9 and 7) leave in
+    # turn, so the kernel columns belong to rows [1, 3, 4, 2, 0].  When
+    # slack 8 comes back, row 0's column moves into row 1's place, and
+    # slack 7 then re-enters from there.
     seen = _record_pivots(monkeypatch)
-    prob = lp_problem(3, [1, 3, 3], Sense.MAX, [
-        constraint({0: 2, 2: 2}, Relation.LE, 4),
-        constraint({0: 1, 2: 2}, Relation.LE, 3),
-        constraint({0: 2, 1: 1, 2: 2}, Relation.LE, 4),
-    ])
-    sol = solve_lp(prob)
-    assert sol == dense_solve_lp(prob)
-    assert (sol.optimum, sol.primal, sol.dual) == (12, (0, 4, 0), (0, 0, 3))
-    assert [(q, leaving) for q, leaving, _ in seen] == [(0, 3), (1, 5), (2, 4), (3, 0), (4, 2)]
-    assert check_certificates(prob, sol)
-
-
-def test_crash_rows_with_scales_above_one(monkeypatch):
-    # x0 and x1 are unscaled 1s alone in their columns, in rows of scale 2
-    # and 3, so the crash basis takes both with d = 6 and no phase 1.  The
-    # one pivot then runs over d = 6: x2 enters, x0 leaves.
-    seen = _record_pivots(monkeypatch)
-    prob = lp_problem(3, [1, 1, F(1, 2)], Sense.MIN, [
-        constraint({0: 1, 2: F(1, 2)}, Relation.GE, F(3, 2)),
-        constraint({1: 1, 2: F(1, 3)}, Relation.EQ, F(5, 3)),
-    ])
-    sol = solve_lp(prob)
-    assert sol == dense_solve_lp(prob)
-    assert sol.optimum == F(13, 6)
-    assert sol.primal == (0, F(2, 3), 3)
-    assert sol.dual == (F(1, 3), 1)
-    assert [(q, leaving) for q, leaving, _ in seen] == [(2, 0)]
-    assert check_certificates(prob, sol)
+    args = (7, [[1, 5], [0, 1], [0, 5], [0, 1, 2], [0, 1, 3, 4, 6]], Sense.MAX, Relation.LE)
+    prog, sol = _solved(*args)
+    assert sol == dense_solve_unit(*args)
+    assert (sol.optimum, sol.primal, sol.dual) == (3, (0, 0, 1, 1, 0, 1, 0), (0, 0, 1, 1, 1))
+    assert seen == [(0, 8, 1), (2, 10, 1), (3, 11, 1), (5, 9, 1), (1, 7, 2), (8, 0, 1), (7, 1, 1)]
+    assert exactnum._certified(prog, sol)
 
 
 def test_packing_lps_match_dense_oracle(monkeypatch):
@@ -637,6 +544,5 @@ def test_packing_lps_match_dense_oracle(monkeypatch):
         packing.r_induced(g)
         packing.r_tilde(g)
     assert len(seen) == 76
-    for prob, sol in seen:
-        assert sol == dense_solve_lp(prob)
-        assert sol == solve_lp(prob)
+    for program, sol in seen:
+        assert sol == dense_solve_unit(*program)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wramsey import graphs
 from wramsey.errors import CapabilityError, InputError
 from wramsey.graphs import (
     Graph,
@@ -176,6 +177,24 @@ def test_balanced_blowup_identity_case():
     assert balanced_blowup(base, 5) == base
     with pytest.raises(InputError):
         balanced_blowup(base, 4)
+
+
+@pytest.mark.parametrize("n", [17, 10 ** 19])
+def test_vertex_count_checked_before_building(monkeypatch, n):
+    # An out-of-range n is refused before any part list, edge list or mask
+    # of size n is built.
+    def unreachable(*args):
+        pytest.fail("parts built for an out-of-range vertex count")
+
+    monkeypatch.setattr(graphs, "blowup_part_of", unreachable)
+    builders = [
+        lambda: Graph.complete(n),
+        lambda: turan_graph(n, 2),
+        lambda: balanced_blowup(mono_triangle_free_k5(), n),
+    ]
+    for build in builders:
+        with pytest.raises(InputError, match=f"^vertex count {n} outside 3..16$"):
+            build()
 
 
 def test_canonical_key_invariances():

@@ -7,9 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 import packing_oracle
-from dense_oracle import solve_lp as dense_solve_lp
+from dense_oracle import solve_unit as dense_solve_unit
 from unit_programs import capture_unit_programs
-from wramsey import exactnum, packing
+from wramsey import packing
 from wramsey.errors import CapabilityError, ContractViolationError, InputError
 from wramsey.graphs import Graph, TwoColoring, mono_triangle_free_k5
 from wramsey.packing import (
@@ -496,7 +496,7 @@ def test_triangles_and_integral_family_match_oracle():
 
 @pytest.mark.parametrize("name", ["tau_star", "r_induced", "r_tilde"])
 def test_packing_lps_match_oracle(monkeypatch, name):
-    # The same LpProblems and LpSolutions, and the same witness entries in
+    # The same unit programs and LpSolutions, and the same witness entries in
     # the same order; the n = 9 graphs only feed the cheaper test above.
     seen = capture_unit_programs(monkeypatch)
     solved = 0
@@ -508,10 +508,10 @@ def test_packing_lps_match_oracle(monkeypatch, name):
         seen.clear()
         want, want_witness = getattr(packing_oracle, name)(g)
         assert ours == seen
-        # The unit path's solutions are those of solve_lp and of the dense
-        # oracle on the same LpProblems.
-        for prob, sol in ours:
-            assert sol == exactnum.solve_lp(prob) == dense_solve_lp(prob)
+        # The unit path's solutions are those of the dense oracle on the
+        # same programs.
+        for program, sol in ours:
+            assert sol == dense_solve_unit(*program)
         solved += len(seen)
         seen.clear()
         assert value == want
