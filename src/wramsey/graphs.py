@@ -8,7 +8,12 @@ graph; the blue graph is the complement inside K_n.
 The canonical form is the minimum red-edge bitmask over all vertex
 relabelings and both color orientations, found label by label from the top
 bits (n <= 9, as the key stores it in 5 bytes).  Class representatives come
-from orderly generation, which grows them one vertex at a time.
+from orderly generation, which grows them one vertex at a time: a minimal
+mask on n vertices is a minimal (n-1)-vertex parent shifted up, plus the
+block x of label 0.  Of a parent's children only x >= b_w << w, for every
+label 1 <= w <= n-2 with block b_w, are searched: swapping labels 0 and w
+keeps every block above w and makes w's block x >> w, so any lower x has
+a lower relabeling.
 """
 
 from __future__ import annotations
@@ -258,6 +263,14 @@ def canonical_key(coloring: TwoColoring) -> CanonicalKey:
     return bytes([n]) + best.to_bytes(5, "big")
 
 
+def _first_child(n: int, base: int) -> int:
+    """Largest b_w << w over the blocks b_w of labels 1..n-2 in ``base``."""
+    return max(
+        (base >> (w * (2 * n - w - 1) // 2) & ((1 << (n - 1 - w)) - 1)) << w
+        for w in range(1, n - 1)
+    )
+
+
 @lru_cache(maxsize=None)
 def _class_masks(n: int) -> tuple[int, ...]:
     """Minimal red masks of the coloring classes of K_n, ascending.
@@ -265,17 +278,22 @@ def _class_masks(n: int) -> tuple[int, ...]:
     Orderly generation: dropping label 0 from a mask M leaves the mask of
     the other labels, in (n-1)-vertex indexing, as M >> (n-1), and a
     relabeling that lowered it would lower M.  So every minimal mask on n
-    vertices is a minimal one on n-1 vertices shifted up, plus the n-1 bits
-    of label 0.
+    vertices is a minimal one on n-1 vertices shifted up, ``base``, plus
+    the n-1 bits x of label 0.  Only x >= ``_first_child(n, base)`` is
+    searched: swapping labels 0 and w keeps every block above w and makes
+    w's block, b_w in ``base``, into x >> w, so x < b_w << w is not minimal.
     """
     if n == 2:
         return (0,)
-    return tuple(
-        mask
-        for top in _class_masks(n - 1)
-        for mask in range(top << (n - 1), (top + 1) << (n - 1))
-        if _canonical_mask(n, mask, stop_early=True) == mask
-    )
+    masks = []
+    for top in _class_masks(n - 1):
+        base = top << (n - 1)
+        masks.extend(
+            mask
+            for mask in range(base | _first_child(n, base), base + (1 << (n - 1)))
+            if _canonical_mask(n, mask, stop_early=True) == mask
+        )
+    return tuple(masks)
 
 
 def enumerate_colorings(n: int) -> list[TwoColoring]:

@@ -343,6 +343,55 @@ def test_enumeration_matches_pinned_digests():
         assert hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest() == digest
 
 
+def _unbounded_class_masks(n_max: int) -> dict[int, tuple[int, ...]]:
+    """Orderly generation without ``graphs._first_child``: every child of
+    every minimal parent is searched."""
+    levels = {2: (0,)}
+    for n in range(3, n_max + 1):
+        levels[n] = tuple(
+            mask
+            for top in levels[n - 1]
+            for mask in range(top << (n - 1), (top + 1) << (n - 1))
+            if graphs._canonical_mask(n, mask, stop_early=True) == mask
+        )
+    return levels
+
+
+def test_class_masks_match_the_unbounded_search():
+    for n, masks in _unbounded_class_masks(7).items():
+        assert graphs._class_masks(n) == masks
+
+
+def _skipped_children(n: int):
+    """Per parent, the children on n vertices that ``_first_child`` skips."""
+    for top in graphs._class_masks(n - 1):
+        base = top << (n - 1)
+        yield range(base, base | graphs._first_child(n, base))
+
+
+def test_first_child_skips_only_non_minimal_masks():
+    for n in (3, 4, 5, 6):
+        for skipped in _skipped_children(n):
+            for mask in skipped:
+                assert _brute_force_min_mask(n, mask) < mask
+    rng = random.Random(14)
+    for n in (7, 8):
+        skipped = [r for r in _skipped_children(n) if r]
+        for _ in range(300):
+            mask = rng.choice(rng.choice(skipped))
+            assert graphs._canonical_mask(n, mask) < mask
+
+
+def test_class_counts_match_oeis_with_no_search():
+    # Classes under relabeling and the Red/Blue swap: graphs on n vertices
+    # (OEIS A000088) plus self-complementary ones (A000171), halved.  At
+    # n = 9 this gives (274668 + 36) / 2 = 137352.
+    graphs_on = {3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+    self_complementary = {3: 0, 4: 1, 5: 2, 6: 0, 7: 0, 8: 10}
+    for n in range(3, 9):
+        assert len(enumerate_colorings(n)) == (graphs_on[n] + self_complementary[n]) // 2
+
+
 def test_import_leaves_numpy_out():
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
