@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bounds import (
@@ -85,15 +85,23 @@ class RunReport:
     elapsed_ms: int | None = None
 
 
+def _render_json(report: RunReport, out) -> None:
+    # json.dump, but a piece over 64k characters (a bounds table's escaped
+    # CSV) is written in slices: a text stream encodes each write whole.
+    payload = {key: value for key, value in vars(report).items() if value is not None}
+    for piece in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload):
+        if len(piece) <= 1 << 16:
+            out.write(piece)
+            continue
+        for start in range(0, len(piece), 1 << 16):
+            out.write(piece[start:start + (1 << 16)])
+    out.write("\n")
+
+
 def report_to_json(report: RunReport) -> str:
-    payload = {
-        "command": report.command,
-        "inputs": report.inputs,
-        "result": report.result,
-    }
-    if report.elapsed_ms is not None:
-        payload["elapsed_ms"] = report.elapsed_ms
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    _render_json(report, out)
+    return out.getvalue()
 
 
 def report_from_json(text: str) -> RunReport:
@@ -334,10 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 0:
             raise InputError(f"--jobs must be >= 0, got {args.jobs}")
         report = args.run(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:
@@ -347,12 +352,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 4
     if not args.stable:
-        elapsed = int((time.perf_counter() - started) * 1000)
-        report = RunReport(report.command, report.inputs, report.result, elapsed)
-    if args.json:
-        sys.stdout.write(report_to_json(report))
-    else:
-        _render_text(report, sys.stdout)
+        report = replace(report, elapsed_ms=int((time.perf_counter() - started) * 1000))
+    (_render_json if args.json else _render_text)(report, sys.stdout)
     return 0
 
 

@@ -28,6 +28,7 @@ introduce one-edge members (an edge plus an isolated vertex).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from fractions import Fraction
 from .errors import CapabilityError, ContractViolationError, InputError
 from .exactnum import Relation, Sense, solve_unit_program
 from .graphs import Graph, TwoColoring, enumerate_colorings
+from .weighted_ramsey import _first_extremum
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -460,6 +462,14 @@ class ColoringPackingStats:
     tau_star_sum: Fraction
 
 
+def _tau_sum(c: TwoColoring) -> int:
+    return tau_integral(c.red) + tau_integral(c.blue)
+
+
+def _tau_star_sum(c: TwoColoring) -> Fraction:
+    return tau_star(c.red)[0] + tau_star(c.blue)[0]
+
+
 def coloring_packing_stats(c: TwoColoring) -> ColoringPackingStats:
     """Joint monochromatic packing number and its fractional analogue.
 
@@ -467,32 +477,28 @@ def coloring_packing_stats(c: TwoColoring) -> ColoringPackingStats:
     the joint maximum is the per-color sum; tests confirm this equivalence
     against a direct joint search on small instances.
     """
-    if c.n > _TAU_CAP:
-        raise CapabilityError(f"coloring packing stats capped at n={_TAU_CAP}")
-    tau_c = tau_integral(c.red) + tau_integral(c.blue)
-    star = tau_star(c.red)[0] + tau_star(c.blue)[0]
-    return ColoringPackingStats(tau_c=tau_c, tau_star_sum=star)
+    return ColoringPackingStats(tau_c=_tau_sum(c), tau_star_sum=_tau_star_sum(c))
 
 
-_TAU_MIN_CAP = 7
+def _class_statistic(n: int, statistic, red_mask: int) -> tuple[Fraction]:
+    return (Fraction(statistic(TwoColoring(Graph(n, red_mask)))),)
+
+
+# Measured on a 2-core machine at n = 8, cold, enumeration (about 2.5 s)
+# included: the tau_star minimum takes 5.8-7.8 s and the tau minimum 4.1-4.4 s.
+_TAU_MIN_CAP = 8
 
 
 def tau_min_over_colorings(n: int, fractional: bool) -> tuple[Fraction, TwoColoring]:
     """Minimum of the packing statistic over one coloring per class."""
     if not 3 <= n <= _TAU_MIN_CAP:
-        raise CapabilityError(
-            f"statistic minimization supports 3 <= n <= {_TAU_MIN_CAP}"
-        )
-    best_val: Fraction | None = None
-    best_c: TwoColoring | None = None
-    for c in enumerate_colorings(n):
-        val = (tau_star(c.red)[0] + tau_star(c.blue)[0] if fractional
-               else Fraction(tau_integral(c.red) + tau_integral(c.blue)))
-        if best_val is None or val < best_val:
-            best_val, best_c = val, c
-    if best_val is None or best_c is None:
-        raise ContractViolationError(f"no coloring class enumerated for n={n}")
-    return best_val, best_c
+        raise CapabilityError(f"statistic minimization supports 3 <= n <= {_TAU_MIN_CAP}")
+    mask, (value,) = _first_extremum(
+        [c.red.mask for c in enumerate_colorings(n)],
+        functools.partial(_class_statistic, n, _tau_star_sum if fractional else _tau_sum),
+        maximize=False,
+    )
+    return value, TwoColoring(Graph(n, mask))
 
 
 def triangle_packing_bound(n: int, tau: Fraction) -> Fraction:

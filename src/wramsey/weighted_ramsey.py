@@ -23,22 +23,23 @@ entries by a positive factor, so their signs, and with them Bland's choices
 there, do not change; each block keeps the relative order of its variables,
 slacks and rows, so Bland's rule on the joint program is Bland's rule on
 each block.  The final bases, the primal and the dual are the same.
+
+One driver, ``_first_extremum``, finds every extremum over coloring classes:
+the maximum of r here, the minimum of a packing statistic in ``packing``.
+It maps a function of the red mask over the masks in class order, serially
+or in a pool, and keeps the first best one: ties go to the earliest class.
 """
 
 from __future__ import annotations
 
+import functools
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil
 from multiprocessing import Pool
 
-from .errors import (
-    CapabilityError,
-    CertificateError,
-    ContractViolationError,
-    InputError,
-)
+from .errors import CapabilityError, CertificateError, ContractViolationError, InputError
 from .exactnum import Relation, Sense, solve_unit_program
 from .graphs import Graph, TwoColoring, all_edges, enumerate_colorings
 
@@ -120,45 +121,30 @@ def r_of_coloring(c: TwoColoring, k: int) -> tuple[Fraction, WeightAssignment]:
     return value, WeightAssignment(n, weights)
 
 
-def _search_worker(args: tuple[int, int, int]):
-    n, red_mask, k = args
+def _r_of_mask(n: int, k: int, red_mask: int) -> tuple[Fraction, WeightAssignment]:
     return r_of_coloring(TwoColoring(Graph(n, red_mask)), k)
 
 
-# Colorings handed to a pool worker at a time.
+# Masks handed to a pool worker at a time.
 _CHUNK = 8
 
 
-def _best_over(colorings: list[TwoColoring], k: int,
-               jobs: int | None) -> tuple[Fraction, TwoColoring, WeightAssignment]:
-    """Maximize r over the given colorings; first maximizer wins ties.
+def _first_extremum(masks: list[int], fn, maximize: bool, jobs: int | None = None):
+    """The first (mask, fn(mask)) whose fn(mask)[0] is largest, or smallest.
 
     At most one worker per chunk is started; one worker means a serial run.
     """
-    tasks = [(c.n, c.red.mask, k) for c in colorings]
-    workers = min(jobs or 1, ceil(len(tasks) / _CHUNK))
-    parallel = workers > 1
+    workers = min(jobs or 1, ceil(len(masks) / _CHUNK))
+    sign = 1 if maximize else -1
     best = None
-    with Pool(processes=workers) if parallel else nullcontext() as pool:
-        results = (pool.imap(_search_worker, tasks, chunksize=_CHUNK) if parallel
-                   else map(_search_worker, tasks))
-        for c, (value, weights) in zip(colorings, results):
-            if best is None or value > best[0]:
-                best = (value, c, weights)
+    with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
+        results = map(fn, masks) if pool is None else pool.imap(fn, masks, chunksize=_CHUNK)
+        for mask, result in zip(masks, results):
+            if best is None or sign * result[0] > sign * best[1][0]:
+                best = (mask, result)
     if best is None:
-        raise ContractViolationError("no coloring to maximize r over")
+        raise ContractViolationError("no coloring class to search")
     return best
-
-
-def _wram_result(colorings: list[TwoColoring], k: int, jobs: int | None,
-                 partial: bool) -> WramResult:
-    n = colorings[0].n
-    r_value, witness, weights = _best_over(colorings, k, jobs)
-    return WramResult(
-        n=n, k=k, value=Fraction(n * (n - 1), 2) / r_value, r_value=r_value,
-        witness_coloring=witness, witness_weights=weights,
-        partial=partial, num_colorings=len(colorings),
-    )
 
 
 def wram(n: int, k: int, jobs: int | None = None) -> WramResult:
@@ -170,10 +156,8 @@ def wram(n: int, k: int, jobs: int | None = None) -> WramResult:
     if not 3 <= k <= n:
         raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
     if n > 8:
-        raise CapabilityError(
-            "exhaustive search is capped at n=8; use wram_for_colorings"
-        )
-    return _wram_result(enumerate_colorings(n), k, jobs, partial=False)
+        raise CapabilityError("exhaustive search is capped at n=8; use wram_for_colorings")
+    return replace(wram_for_colorings(enumerate_colorings(n), k, jobs), partial=False)
 
 
 def wram_for_colorings(colorings: list[TwoColoring], k: int,
@@ -190,7 +174,15 @@ def wram_for_colorings(colorings: list[TwoColoring], k: int,
         raise InputError("all colorings must share the same vertex count")
     if not 3 <= k <= n:
         raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
-    return _wram_result(colorings, k, jobs, partial=True)
+    mask, (r_value, weights) = _first_extremum(
+        [c.red.mask for c in colorings], functools.partial(_r_of_mask, n, k),
+        maximize=True, jobs=jobs,
+    )
+    return WramResult(
+        n=n, k=k, value=Fraction(n * (n - 1), 2) / r_value, r_value=r_value,
+        witness_coloring=TwoColoring(Graph(n, mask)), witness_weights=weights,
+        partial=True, num_colorings=len(colorings),
+    )
 
 
 def check_monotonicity(k: int, n_max: int, jobs: int | None = None) -> bool:

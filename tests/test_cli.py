@@ -387,6 +387,24 @@ def test_json_roundtrip(capsys):
     assert payload["result"]["witness_weights"]
 
 
+def test_json_reports_are_written_in_slices():
+    # A text stream encodes each write whole, so no write may carry a whole
+    # escaped table; the bytes are those of report_to_json.
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    with contextlib.redirect_stdout(out):
+        code = main(["--stable", "--json", "bounds", "--table", "turan", "--kmax", "200"])
+    assert code == 0
+    assert max(writes) <= 1 << 16 < sum(writes)
+    assert report_to_json(report_from_json(out.getvalue())) == out.getvalue()
+
+
 @pytest.mark.parametrize("text", ["[]", "{}", "3"])
 def test_report_json_that_is_not_a_report_is_an_input_error(text):
     with pytest.raises(InputError, match="^report JSON needs an object"):

@@ -441,7 +441,7 @@ def test_tau_min_over_colorings():
     assert value == 0
 
     with pytest.raises(CapabilityError):
-        tau_min_over_colorings(8, fractional=False)
+        tau_min_over_colorings(9, fractional=False)
 
 
 # -- packing bound evaluators ---------------------------------------------------
@@ -462,11 +462,37 @@ def test_triangle_packing_bound_finite_form():
 
 
 def test_finite_consistency_with_computed_tau():
-    from wramsey.weighted_ramsey import wram
+    from wramsey.weighted_ramsey import r_of_coloring, wram
 
-    for n in (5, 6, 7):
+    # n: min tau*, min tau, wram(n,3), its witness mask, and
+    # triangle_packing_bound(n, min tau*).
+    table = {
+        3: (0, 0, F(3, 2), 1, F(1)),
+        4: (0, 0, F(3, 2), 12, F(6, 5)),
+        5: (0, 0, F(2), 20, F(4, 3)),
+        6: (1, 1, F(15, 7), 510, F(3, 2)),
+        7: (2, 2, F(42, 19), 7804, F(21, 13)),
+    }
+    for n, row in table.items():
+        star, star_witness = tau_min_over_colorings(n, fractional=True)
         tau_n = tau_min_over_colorings(n, fractional=False)[0]
-        assert wram(n, 3).value >= triangle_packing_bound(n, tau_n)
+        res = wram(n, 3)
+        assert (star, tau_n, res.value, res.witness_coloring.red.mask,
+                triangle_packing_bound(n, star)) == row
+        assert res.value >= triangle_packing_bound(n, tau_n)
+        # Up to n = 7 the class with the least fractional packing attains r(n,3).
+        assert r_of_coloring(star_witness, 3)[0] == res.r_value
+
+    # At n = 8 it does not: the tau* minimizer (mask 842232, found by
+    # tau_min_over_colorings(8, True)) gives C(8,2)/r = 56/25, while the tau
+    # minimizer (mask 2022000) is the wram(8,3) witness, r = 38/3.
+    star_min = TwoColoring(Graph(8, 842232))
+    assert coloring_packing_stats(star_min).tau_star_sum == 3
+    assert 28 / r_of_coloring(star_min, 3)[0] == F(56, 25)
+    tau_min = TwoColoring(Graph(8, 2022000))
+    assert coloring_packing_stats(tau_min).tau_c == 2
+    r = r_of_coloring(tau_min, 3)[0]
+    assert (r, 28 / r) == (F(38, 3), F(42, 19))
 
 
 def test_descriptor_validation():

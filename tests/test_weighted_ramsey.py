@@ -24,7 +24,7 @@ from wramsey.graphs import (
 )
 from wramsey.packing import r_induced
 from wramsey.weighted_ramsey import (
-    _best_over,
+    _first_extremum,
     WeightAssignment,
     WramResult,
     check_monotonicity,
@@ -85,6 +85,23 @@ def test_wram_5_3_and_6_3():
     assert res6.value == F(15, 7)
     assert res6.r_value == 7
     assert res6.num_colorings == 78
+
+
+@pytest.mark.parametrize("n, k, value, mask", [
+    # (7, 3): 42/19 with mask 7804 is pinned in test_packing's bridge table.
+    (6, 4, F(45, 13), 120),
+    (6, 5, F(5), 656),
+    (7, 4, F(42, 11), 42232),
+    (7, 5, F(126, 23), 32700),
+])
+def test_exhaustive_values_and_first_maximizers(n, k, value, mask):
+    # The witness is the first class, in canonical order, that attains r(n,k).
+    # At (6,5) 30 classes tie, over five chunks, so the pool must keep the
+    # first of them too.
+    for jobs in (None, 2) if (n, k) == (6, 5) else (None,):
+        res = wram(n, k, jobs=jobs)
+        assert (res.value, res.witness_coloring.red.mask) == (value, mask)
+        assert r_of_coloring(res.witness_coloring, k) == (res.r_value, res.witness_weights)
 
 
 def test_wram_4_3():
@@ -277,4 +294,4 @@ def test_inconsistent_wram_result_is_a_certificate_failure():
 
 def test_maximizing_over_no_coloring_is_a_contract_violation():
     with pytest.raises(ContractViolationError):
-        _best_over([], 3, None)
+        _first_extremum([], abs, maximize=True)
