@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -148,23 +147,18 @@ def _read_text(path: str) -> str:
 
 
 def _cmd_wram(args) -> RunReport:
-    # Workers are capped at the CPUs this process may run on (all CPUs
-    # where affinity is unknown); 0 asks for all of them.
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    jobs = min(args.jobs or cpus, cpus)
     if args.exhaustive == (args.file is not None):
         raise InputError("choose exactly one of --exhaustive or --file")
     if args.exhaustive:
         if args.n is None:
             raise InputError("--exhaustive needs --n")
-        res = wram(args.n, args.k, jobs=jobs)
+        res = wram(args.n, args.k)
         inputs = {"n": args.n, "k": args.k, "mode": "exhaustive"}
     else:
         colorings = parse_colorings(_read_text(args.file))
         if args.n is not None and any(c.n != args.n for c in colorings):
             raise InputError(f"file contains colorings with n != {args.n}")
-        res = wram_for_colorings(colorings, args.k, jobs=jobs)
+        res = wram_for_colorings(colorings, args.k)
         inputs = {"n": res.n, "k": args.k, "mode": f"file {args.file}"}
     result = {
         "value": format_rational(res.value),
@@ -303,8 +297,8 @@ _PARSER.add_argument(
 )
 _PARSER.add_argument(
     "--jobs", type=int, default=0,
-    help="worker count for exhaustive searches, at most the CPUs this process "
-    "may run on (default 0: all of them)",
+    help="accepted for compatibility and ignored: every search runs serially "
+    "in this process (must be >= 0)",
 )
 _sub = _PARSER.add_subparsers(dest="command", required=True)
 

@@ -296,6 +296,44 @@ def _class_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def _without_label(n: int, mask: int, v: int) -> int:
+    """The (n-1)-vertex mask left when label v is deleted from ``mask``.
+
+    Each label j < v loses bit v-j-1 of its block; the blocks of the labels
+    above v, which become j-1, move down by n-1 bits as one piece.
+    """
+    offset = v * (2 * n - v - 1) // 2
+    out = mask >> (offset + n - 1 - v) << (offset - v)
+    for j in range(v):
+        start = j * (2 * n - j - 1) // 2
+        block = mask >> start & ((1 << (n - 1 - j)) - 1)
+        low = (1 << (v - j - 1)) - 1
+        out |= (block & low | block >> 1 & ~low) << (start - j)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _deleted_classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each class of ``_class_masks(n)``, the minimal masks of its n
+    vertex-deleted colorings, label 0 first.
+
+    Deleting label 0 leaves the parent, ``mask >> (n-1)``, already minimal;
+    so is any deletion that is itself a class mask.  The rest are looked up,
+    each distinct mask once.
+    """
+    canonical = {m: m for m in _class_masks(n - 1)}
+
+    def lookup(m: int) -> int:
+        if m not in canonical:
+            canonical[m] = _canonical_mask(n - 1, m)
+        return canonical[m]
+
+    return tuple(
+        tuple(lookup(_without_label(n, mask, v)) for v in range(n))
+        for mask in _class_masks(n)
+    )
+
+
 def enumerate_colorings(n: int) -> list[TwoColoring]:
     """One representative per coloring class of K_n under relabeling + swap.
 

@@ -484,15 +484,8 @@ def _class_statistic(n: int, statistic, red_mask: int) -> tuple[Fraction]:
     return (Fraction(statistic(TwoColoring(Graph(n, red_mask)))),)
 
 
-# Measured on a 2-core machine at n = 8, cold, enumeration (about 2.5 s)
-# included: the tau_star minimum takes 5.8-7.8 s and the tau minimum 4.1-4.4 s.
-_TAU_MIN_CAP = 8
-
-
 def tau_min_over_colorings(n: int, fractional: bool) -> tuple[Fraction, TwoColoring]:
     """Minimum of the packing statistic over one coloring per class."""
-    if not 3 <= n <= _TAU_MIN_CAP:
-        raise CapabilityError(f"statistic minimization supports 3 <= n <= {_TAU_MIN_CAP}")
     mask, (value,) = _first_extremum(
         [c.red.mask for c in enumerate_colorings(n)],
         functools.partial(_class_statistic, n, _tau_star_sum if fractional else _tau_sum),

@@ -24,24 +24,46 @@ there, do not change; each block keeps the relative order of its variables,
 slacks and rows, so Bland's rule on the joint program is Bland's rule on
 each block.  The final bases, the primal and the dual are the same.
 
-One driver, ``_first_extremum``, finds every extremum over coloring classes:
-the maximum of r here, the minimum of a packing statistic in ``packing``.
-It maps a function of the red mask over the masks in class order, serially
-or in a pool, and keeps the first best one: ties go to the earliest class.
+One search loop, ``_first_extremum``, finds every extremum over a list of
+coloring classes: the maximum of r over a supplied list here, the minimum
+of a packing statistic in ``packing``.  It maps a function of the red mask
+over the masks in class order and keeps the first best one: ties go to the
+earliest class.
+
+The exhaustive search prunes with the vertex-deletion bound: for k < n,
+
+    r(c; n, k) <= sum over v of r(c - v; n - 1, k) / (n - 2).
+
+Proof: restrict an optimal weighting of c to K_n - v.  Every k-set of
+K_n - v is a k-set of K_n with the same monochromatic edges, so the
+restriction is feasible for c - v and its total is at most r(c - v).  Each
+edge uv lies in K_n - x for the n - 2 vertices x other than u and v, so
+the n restricted totals sum to (n - 2) r(c).  ``wram`` solves every class
+of K_{n-1} once, reads each c - v from ``graphs._deleted_classes``, and
+solves the classes of K_n in order of descending bound, ties by ascending
+mask, until a bound falls below the best r.  A class left unsolved has
+r <= bound < best; a class with r = best has bound >= best and was solved.
+So the value, and the witness (the smallest mask with r = best, solved by
+the same deterministic LP), are those of the unpruned search.  At n = k
+there is no lower level, and every class is solved.
 """
 
 from __future__ import annotations
 
 import functools
-from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
-from multiprocessing import Pool
 
 from .errors import CapabilityError, CertificateError, ContractViolationError, InputError
 from .exactnum import Relation, Sense, solve_unit_program
-from .graphs import Graph, TwoColoring, all_edges, enumerate_colorings
+from .graphs import (
+    Graph,
+    TwoColoring,
+    _class_masks,
+    _deleted_classes,
+    all_edges,
+    enumerate_colorings,
+)
 
 
 @dataclass(frozen=True)
@@ -125,43 +147,68 @@ def _r_of_mask(n: int, k: int, red_mask: int) -> tuple[Fraction, WeightAssignmen
     return r_of_coloring(TwoColoring(Graph(n, red_mask)), k)
 
 
-# Masks handed to a pool worker at a time.
-_CHUNK = 8
-
-
-def _first_extremum(masks: list[int], fn, maximize: bool, jobs: int | None = None):
-    """The first (mask, fn(mask)) whose fn(mask)[0] is largest, or smallest.
-
-    At most one worker per chunk is started; one worker means a serial run.
-    """
-    workers = min(jobs or 1, ceil(len(masks) / _CHUNK))
+def _first_extremum(masks: list[int], fn, maximize: bool):
+    """The first (mask, fn(mask)) whose fn(mask)[0] is largest, or smallest."""
     sign = 1 if maximize else -1
     best = None
-    with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
-        results = map(fn, masks) if pool is None else pool.imap(fn, masks, chunksize=_CHUNK)
-        for mask, result in zip(masks, results):
-            if best is None or sign * result[0] > sign * best[1][0]:
-                best = (mask, result)
+    for mask in masks:
+        result = fn(mask)
+        if best is None or sign * result[0] > sign * best[1][0]:
+            best = (mask, result)
     if best is None:
         raise ContractViolationError("no coloring class to search")
     return best
 
 
-def wram(n: int, k: int, jobs: int | None = None) -> WramResult:
+def _pruned_maximum(n: int, k: int):
+    """``_first_extremum`` of r over the classes of K_n, k < n, solving only
+    the classes whose vertex-deletion bound reaches the best r so far."""
+    below = _class_masks(n - 1)
+    r_below = dict(zip(below, (_r_of_mask(n - 1, k, m)[0] for m in below)))
+    # Each bound times n - 2, with the mask, in solving order.
+    order = sorted(
+        ((sum(map(r_below.__getitem__, deleted)), mask)
+         for mask, deleted in zip(_class_masks(n), _deleted_classes(n))),
+        key=lambda bound: (-bound[0], bound[1]),
+    )
+    best = None
+    for total, mask in order:
+        if best is not None and total < (n - 2) * best[1][0]:
+            break
+        result = _r_of_mask(n, k, mask)
+        # Ties go to the smaller mask, the earlier class.
+        if best is None or (result[0], -mask) > (best[1][0], -best[0]):
+            best = (mask, result)
+    return best
+
+
+def _wram_result(n: int, k: int, best, classes: int, partial: bool) -> WramResult:
+    mask, (r_value, weights) = best
+    return WramResult(
+        n=n, k=k, value=Fraction(n * (n - 1), 2) / r_value, r_value=r_value,
+        witness_coloring=TwoColoring(Graph(n, mask)), witness_weights=weights,
+        partial=partial, num_colorings=classes,
+    )
+
+
+def wram(n: int, k: int) -> WramResult:
     """Exhaustive wram(n, k): max of r over one coloring per class.
 
     Enumeration order is canonical (ascending minimal red mask), so the
     reported witness is deterministic: ties go to the smallest canonical key.
+    The vertex-deletion bound prunes the search without changing either.
     """
     if not 3 <= k <= n:
         raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
-    if n > 8:
-        raise CapabilityError("exhaustive search is capped at n=8; use wram_for_colorings")
-    return replace(wram_for_colorings(enumerate_colorings(n), k, jobs), partial=False)
+    masks = [c.red.mask for c in enumerate_colorings(n)]
+    if n == k:
+        best = _first_extremum(masks, functools.partial(_r_of_mask, n, k), maximize=True)
+    else:
+        best = _pruned_maximum(n, k)
+    return _wram_result(n, k, best, len(masks), partial=False)
 
 
-def wram_for_colorings(colorings: list[TwoColoring], k: int,
-                       jobs: int | None = None) -> WramResult:
+def wram_for_colorings(colorings: list[TwoColoring], k: int) -> WramResult:
     """Same maximization over a supplied candidate list; flagged partial.
 
     The result bounds wram(n, k) from above only when the list covers every
@@ -174,21 +221,16 @@ def wram_for_colorings(colorings: list[TwoColoring], k: int,
         raise InputError("all colorings must share the same vertex count")
     if not 3 <= k <= n:
         raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
-    mask, (r_value, weights) = _first_extremum(
-        [c.red.mask for c in colorings], functools.partial(_r_of_mask, n, k),
-        maximize=True, jobs=jobs,
+    best = _first_extremum(
+        [c.red.mask for c in colorings], functools.partial(_r_of_mask, n, k), maximize=True
     )
-    return WramResult(
-        n=n, k=k, value=Fraction(n * (n - 1), 2) / r_value, r_value=r_value,
-        witness_coloring=TwoColoring(Graph(n, mask)), witness_weights=weights,
-        partial=True, num_colorings=len(colorings),
-    )
+    return _wram_result(n, k, best, len(colorings), partial=True)
 
 
-def check_monotonicity(k: int, n_max: int, jobs: int | None = None) -> bool:
+def check_monotonicity(k: int, n_max: int) -> bool:
     """wram(l, k) <= wram(l+1, k) along k <= l <= n_max, capped by C(k,2)."""
     if not 3 <= k <= n_max <= 8:
         raise InputError(f"need 3 <= k <= n_max <= 8, got k={k}, n_max={n_max}")
-    values = [wram(ell, k, jobs=jobs).value for ell in range(k, n_max + 1)]
+    values = [wram(ell, k).value for ell in range(k, n_max + 1)]
     chain_ok = all(a <= b for a, b in zip(values, values[1:]))
     return chain_ok and values[-1] <= Fraction(k * (k - 1), 2)

@@ -5,7 +5,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wramsey import exactnum, weighted_ramsey
+from wramsey import exactnum
 from wramsey.cli import (
     RunReport,
     format_decimal,
@@ -115,48 +114,20 @@ def test_negative_jobs_is_an_input_error(capsys, k3_graph_file):
     assert "value 2/1" in out
 
 
-def test_jobs_zero_counts_only_the_cpus_this_process_may_use(capsys, monkeypatch):
-    def no_pool(processes):
-        raise AssertionError(f"a pool of {processes} workers was built")
-
-    # Four CPUs in the machine, one in this process's affinity mask.
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(weighted_ramsey, "Pool", no_pool)
-    code, out, _ = run_cli(
-        capsys, "--stable", "--jobs", "0", "wram", "--exhaustive", "--n", "5", "--k", "3"
-    )
-    assert code == 0
-    assert "value 2/1" in out
-
-
-def test_jobs_are_capped_at_the_cpus_this_process_may_use(capsys, monkeypatch):
-    started = []
-
-    class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks, chunksize):
-            return map(fn, tasks)
-
-    # 18 classes at n = 5 fill 3 chunks, so only the CPU count caps the pool.
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(weighted_ramsey, "Pool", FakePool)
-    for cpus, pools in (({0, 1}, [2]), ({5}, [])):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        code, out, _ = run_cli(
-            capsys, "--stable", "--jobs", "1000", "wram", "--exhaustive", "--n", "5", "--k", "3"
+def test_jobs_is_accepted_and_ignored(capsys):
+    # Every search runs in this process: any worker count prints the same.
+    outputs = set()
+    for jobs in ("0", "1", "2", "1000"):
+        code, out, err = run_cli(
+            capsys, "--stable", "--jobs", jobs, "wram", "--n", "6", "--k", "3", "--exhaustive"
         )
-        assert (code, started) == (0, pools)
-        assert "value 2/1" in out
-        started.clear()
+        assert (code, err) == (0, "")
+        outputs.add(out)
+    assert len(outputs) == 1
+    code, out, err = run_cli(
+        capsys, "--stable", "--jobs", "-1", "wram", "--n", "6", "--k", "3", "--exhaustive"
+    )
+    assert (code, out, err) == (2, "", "error: --jobs must be >= 0, got -1\n")
 
 
 def test_non_utf8_coloring_file_is_an_input_error(capsys, tmp_path):
@@ -192,10 +163,14 @@ def test_main_builds_no_parser(capsys, monkeypatch, k3_graph_file):
 
 
 def test_wram_capability_exit(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "--stable", "--jobs", "1", "wram", "--n", "9", "--k", "3", "--exhaustive"
     )
-    assert code == 3
+    assert (code, out) == (3, "")
+    assert err == "error: exhaustive coloring enumeration supports 3 <= n <= 8\n"
+    # k is checked before the size.
+    code, out, err = run_cli(capsys, "--stable", "wram", "--n", "9", "--k", "2", "--exhaustive")
+    assert (code, out, err) == (2, "", "error: need 3 <= k <= n, got k=2, n=9\n")
 
 
 def test_packing_stats(capsys, k4_graph_file, k3_graph_file):
@@ -284,7 +259,7 @@ def test_packing_lp_caps_exit_3(capsys, tmp_path, stat, n):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_wram_file_past_weight_lp_cap_exits_3(capsys, tmp_path, jobs):
-    # n = 11 is the first size the weight LP refuses, in a pool worker too.
+    # n = 11 is the first size the weight LP refuses, whatever --jobs says.
     path = tmp_path / "blowup11.txt"
     path.write_text(format_coloring(balanced_blowup(mono_triangle_free_k5(), 11)))
     code, out, err = run_cli(

@@ -401,6 +401,23 @@ def test_import_leaves_numpy_out():
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
+def test_deleted_classes_are_the_canonical_vertex_deletions():
+    # Each entry is the class of the coloring left when vertex v goes,
+    # rebuilt here from its edges and keyed independently of the table.
+    for n in range(4, 8):
+        masks = {canonical_key(c): c.red.mask for c in enumerate_colorings(n - 1)}
+        for c, deleted in zip(enumerate_colorings(n), graphs._deleted_classes(n)):
+            expected = []
+            for v in range(n):
+                label = [u for u in range(n) if u != v]
+                rest = TwoColoring.from_red_edges(n - 1, [
+                    (label.index(a), label.index(b)) for a, b in c.red.edges() if v not in (a, b)
+                ])
+                expected.append(masks[canonical_key(rest)])
+            assert deleted == tuple(expected)
+            assert deleted[0] == c.red.mask >> (n - 1)
+
+
 def test_enumeration_capability_limits():
     with pytest.raises(CapabilityError):
         enumerate_colorings(2)

@@ -440,7 +440,7 @@ def test_tau_min_over_colorings():
     value, _ = tau_min_over_colorings(3, fractional=False)
     assert value == 0
 
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError, match="enumeration supports 3 <= n <= 8"):
         tau_min_over_colorings(9, fractional=False)
 
 

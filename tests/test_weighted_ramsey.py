@@ -1,5 +1,6 @@
 """Weight LP over colorings, exhaustive search, monotone chain."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -16,6 +17,7 @@ from wramsey.errors import (
 from wramsey.exactnum import Relation, Sense, solve_unit_program
 from wramsey.graphs import (
     TwoColoring,
+    _deleted_classes,
     all_edges,
     balanced_blowup,
     enumerate_colorings,
@@ -25,6 +27,7 @@ from wramsey.graphs import (
 from wramsey.packing import r_induced
 from wramsey.weighted_ramsey import (
     _first_extremum,
+    _r_of_mask,
     WeightAssignment,
     WramResult,
     check_monotonicity,
@@ -93,15 +96,17 @@ def test_wram_5_3_and_6_3():
     (6, 5, F(5), 656),
     (7, 4, F(42, 11), 42232),
     (7, 5, F(126, 23), 32700),
+    (8, 3, F(42, 19), 2022000),
+    (8, 4, F(336, 85), 873700),
+    (8, 5, F(40, 7), 2022000),
 ])
 def test_exhaustive_values_and_first_maximizers(n, k, value, mask):
     # The witness is the first class, in canonical order, that attains r(n,k).
-    # At (6,5) 30 classes tie, over five chunks, so the pool must keep the
-    # first of them too.
-    for jobs in (None, 2) if (n, k) == (6, 5) else (None,):
-        res = wram(n, k, jobs=jobs)
-        assert (res.value, res.witness_coloring.red.mask) == (value, mask)
-        assert r_of_coloring(res.witness_coloring, k) == (res.r_value, res.witness_weights)
+    # At (6,5) 30 classes tie, so the pruned search must keep the first of
+    # them too.
+    res = wram(n, k)
+    assert (res.value, res.witness_coloring.red.mask) == (value, mask)
+    assert r_of_coloring(res.witness_coloring, k) == (res.r_value, res.witness_weights)
 
 
 def test_wram_4_3():
@@ -127,46 +132,53 @@ def test_wram_product_identity_and_witness():
 
 
 def test_wram_capability_cap():
-    with pytest.raises(CapabilityError):
+    # The one enumeration cap, after k is checked.
+    with pytest.raises(CapabilityError, match="enumeration supports 3 <= n <= 8"):
         wram(9, 3)
+    with pytest.raises(InputError):
+        wram(9, 2)
     with pytest.raises(InputError):
         wram(5, 2)
 
 
-def test_wram_parallel_matches_serial():
-    serial = wram(5, 3)
-    parallel = wram(5, 3, jobs=2)
-    assert parallel.value == serial.value
-    assert parallel.witness_coloring == serial.witness_coloring
+def test_pruned_search_keeps_the_full_search_result():
+    # Value, witness mask, witness weights and class count all match the
+    # first maximizer over every class, (6,5) and its 30-way tie included.
+    for n in range(3, 7):
+        masks = [c.red.mask for c in enumerate_colorings(n)]
+        for k in range(3, n + 1):
+            mask, (r_value, weights) = _first_extremum(
+                masks, functools.partial(_r_of_mask, n, k), maximize=True
+            )
+            res = wram(n, k)
+            assert (res.r_value, res.witness_coloring.red.mask, res.witness_weights,
+                    res.num_colorings) == (r_value, mask, weights, len(masks))
 
 
-def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
-    started = []
+def test_vertex_deletion_bound_holds_on_every_class():
+    # (n - 2) r(c, k) <= sum over v of r(c - v, k), with each c - v read
+    # from the deletion table the search reads.
+    for k in range(3, 7):
+        below = {c.red.mask: r_of_coloring(c, k)[0] for c in enumerate_colorings(k)}
+        for n in range(k + 1, 8):
+            level = {c.red.mask: r_of_coloring(c, k)[0] for c in enumerate_colorings(n)}
+            for (mask, r_value), deleted in zip(level.items(), _deleted_classes(n)):
+                assert (n - 2) * r_value <= sum(below[m] for m in deleted), (n, k, mask)
+            below = level
 
-    class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
 
-        def __enter__(self):
-            return self
+def test_pruning_skips_classes(monkeypatch):
+    # At (7,3) all 78 classes of K_6 are solved, and the bound leaves 13 of
+    # the 522 of K_7.
+    solved = []
 
-        def __exit__(self, *exc):
-            return False
+    def counting(n, k, mask):
+        solved.append(n)
+        return _r_of_mask(n, k, mask)
 
-        def imap(self, fn, tasks, chunksize):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(weighted_ramsey, "Pool", FakePool)
-    serial = wram(5, 3, jobs=1)
-    # 6 classes at n = 4 fill one chunk of 8: no pool at all.
-    assert wram(4, 3, jobs=8).value == wram(4, 3).value
-    assert started == []
-    # 18 classes at n = 5 fill 3 chunks.
-    for jobs, workers in ((8, 3), (2, 2)):
-        res = wram(5, 3, jobs=jobs)
-        assert started.pop() == workers
-        assert (res.value, res.witness_coloring) == (serial.value, serial.witness_coloring)
-    assert started == []
+    monkeypatch.setattr(weighted_ramsey, "_r_of_mask", counting)
+    assert wram(7, 3).value == F(42, 19)
+    assert (solved.count(6), solved.count(7)) == (78, 13)
 
 
 def test_wram_for_colorings_single_candidates():
