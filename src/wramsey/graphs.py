@@ -13,7 +13,9 @@ mask on n vertices is a minimal (n-1)-vertex parent shifted up, plus the
 block x of label 0.  Of a parent's children only x >= b_w << w, for every
 label 1 <= w <= n-2 with block b_w, are searched: swapping labels 0 and w
 keeps every block above w and makes w's block x >> w, so any lower x has
-a lower relabeling.
+a lower relabeling.  Each child the search rejects yields a relabeling
+that lowers it, and the later siblings are first tested against these:
+an image below the child proves it is not minimal, with no search.
 """
 
 from __future__ import annotations
@@ -159,15 +161,19 @@ class TwoColoring:
 CanonicalKey = bytes
 
 
-def _canonical_mask(n: int, mask: int, stop_early: bool = False) -> int:
+def _canonical_mask(n: int, mask: int, stop_early: bool = False):
     """Minimum red mask over all relabelings and both color orientations.
 
     Labels are placed from n-1 down to 0.  Placing label j fixes the bits
     (j, j+1..n-1), the next most significant block, whose value is the
     chosen vertex's adjacency to the labels already placed, label n-1 the
     top bit.  Every partial labeling that ties on the smallest prefix is
-    kept, once per distinct future.  With ``stop_early`` the search returns
-    a value below ``mask`` as soon as some prefix falls below mask's own.
+    kept, once per distinct future.
+
+    With ``stop_early`` the search stops as soon as some prefix falls below
+    mask's own and returns a relabeling that gives it, as (orientation,
+    label of each vertex), or None if ``mask`` is minimal.  Only then does
+    it keep the labels of the placed vertices.
     """
     everyone = (1 << n) - 1
     red = [0] * n
@@ -198,17 +204,21 @@ def _canonical_mask(n: int, mask: int, stop_early: bool = False) -> int:
         level = grown
         j -= 1
         if stop_early and mask >> (j * (2 * n - j - 1) // 2):
-            return 0
+            side, cell, _ = level[0]
+            return side, _labeling(n, _spread(j, cell))
 
     # A state is (orientation, codes, cells).  codes[v] is -1 once v is
     # placed, else the bits of the singly placed labels adjacent to v.  A
     # cell (lowest label, members) is a run of labels whose order among its
     # members is still free: a vertex's neighbours in it take its lowest
-    # labels, and placing that vertex splits the cell at that point.
+    # labels, and placing that vertex splits the cell at that point.  With
+    # ``stop_early``, ``placed`` maps each state to the (label, vertex bit)
+    # of its singly placed vertices, from the first labeling that reached it.
     states = {
         (side, tuple(-(cell >> v & 1) for v in range(n)), ((j, cell),))
         for side, cell, _ in level
     }
+    placed = dict.fromkeys(states, ()) if stop_early else None
     prefix = 0
     for j in range(j - 1, -1, -1):
         best = -1
@@ -228,9 +238,19 @@ def _canonical_mask(n: int, mask: int, stop_early: bool = False) -> int:
         offset = j * (2 * n - j - 1) // 2
         prefix |= best >> (j + 1) << offset
         if stop_early and prefix >> offset < mask >> offset:
-            return prefix
+            state, v = ties[0]
+            side, _, cells = state
+            near = orientations[side][v]
+            labels = [*placed[state], (j, 1 << v)]
+            for lo, members in cells:
+                labels += _spread(lo, members & near)
+                labels += _spread(lo + (members & near).bit_count(), members & ~near)
+            return side, _labeling(n, labels)
         states = set()
-        for (side, codes, cells), v in ties:
+        if stop_early:
+            earlier, placed = placed, {}
+        for state, v in ties:
+            side, codes, cells = state
             rows = orientations[side]
             codes = list(codes)
             codes[v] = -1
@@ -248,8 +268,31 @@ def _canonical_mask(n: int, mask: int, stop_early: bool = False) -> int:
                     for label, bit in singles:
                         if rows[u] & bit:
                             codes[u] |= 1 << label
-            states.add((side, tuple(codes), tuple(split)))
-    return prefix
+            child = (side, tuple(codes), tuple(split))
+            states.add(child)
+            if stop_early and child not in placed:
+                placed[child] = earlier[state] + tuple(singles)
+    return None if stop_early else prefix
+
+
+def _spread(lo: int, members: int) -> list[tuple[int, int]]:
+    """(label, vertex bit) for ``members`` on labels lo, lo+1, ..., in vertex order."""
+    out = []
+    while members:
+        bit = members & -members
+        members ^= bit
+        out.append((lo + len(out), bit))
+    return out
+
+
+def _labeling(n: int, labels) -> tuple[int, ...]:
+    """The label of each vertex: those of the (label, vertex bit) pairs
+    ``labels``, and the lowest labels, in vertex order, for the rest."""
+    label = [-1] * n
+    for at, bit in labels:
+        label[bit.bit_length() - 1] = at
+    low = itertools.count()
+    return tuple(at if at >= 0 else next(low) for at in label)
 
 
 def canonical_key(coloring: TwoColoring) -> CanonicalKey:
@@ -282,18 +325,50 @@ def _class_masks(n: int) -> tuple[int, ...]:
     the n-1 bits x of label 0.  Only x >= ``_first_child(n, base)`` is
     searched: swapping labels 0 and w keeps every block above w and makes
     w's block, b_w in ``base``, into x >> w, so x < b_w << w is not minimal.
+
+    Each rejected child's search returns a relabeling that lowers it, and
+    every later sibling is tested against those relabelings first: siblings
+    differ only in x, so the image of base | x is a fixed part OR'd with a
+    table lookup on x.  An image below base | x proves that it is not
+    minimal; every mask kept still passes the full search, so the masks and
+    their order are those of the search alone.
     """
     if n == 2:
         return (0,)
     masks = []
     for top in _class_masks(n - 1):
         base = top << (n - 1)
-        masks.extend(
-            mask
-            for mask in range(base | _first_child(n, base), base + (1 << (n - 1)))
-            if _canonical_mask(n, mask, stop_early=True) == mask
-        )
+        lowering = []  # (fixed image, image of each x, x's flip)
+        for x in range(_first_child(n, base), 1 << (n - 1)):
+            mask = base | x
+            for fixed, image, flip in lowering:
+                if fixed | image[x ^ flip] < mask:
+                    break
+            else:
+                relabeling = _canonical_mask(n, mask, stop_early=True)
+                if relabeling is None:
+                    masks.append(mask)
+                else:
+                    lowering.append(_sibling_images(n, base, *relabeling))
     return tuple(masks)
+
+
+def _sibling_images(n: int, base: int, side: int, label) -> tuple[int, list[int], int]:
+    """The image of every child base | x under one relabeling, in parts.
+
+    The edges off label 0 come from ``base`` and give a fixed part; the
+    edges at label 0 come from x, flipped in the complement orientation,
+    and give image[x ^ flip].
+    """
+    fixed = 0
+    for i, (u, v) in enumerate(all_edges(n)[n - 1:], n - 1):
+        if base >> i & 1 != side:
+            fixed |= 1 << edge_index(n, label[u], label[v])
+    image = [0]
+    for v in range(1, n):
+        bit = 1 << edge_index(n, label[0], label[v])
+        image += [part | bit for part in image]
+    return fixed, image, side * ((1 << (n - 1)) - 1)
 
 
 def _without_label(n: int, mask: int, v: int) -> int:
@@ -341,11 +416,15 @@ def enumerate_colorings(n: int) -> list[TwoColoring]:
     order, so the output order is itself canonical.  The class count is the
     length of the returned list.
     """
+    _check_enumerable(n)
+    return [TwoColoring(Graph(n, mask)) for mask in _class_masks(n)]
+
+
+def _check_enumerable(n: int) -> None:
     if not 3 <= n <= _ENUMERATION_CAP:
         raise CapabilityError(
             f"exhaustive coloring enumeration supports 3 <= n <= {_ENUMERATION_CAP}"
         )
-    return [TwoColoring(Graph(n, mask)) for mask in _class_masks(n)]
 
 
 def turan_number(k: int, i: int) -> int:

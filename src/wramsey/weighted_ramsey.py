@@ -59,6 +59,7 @@ from .exactnum import Relation, Sense, solve_unit_program
 from .graphs import (
     Graph,
     TwoColoring,
+    _check_enumerable,
     _class_masks,
     _deleted_classes,
     all_edges,
@@ -229,8 +230,9 @@ def wram_for_colorings(colorings: list[TwoColoring], k: int) -> WramResult:
 
 def check_monotonicity(k: int, n_max: int) -> bool:
     """wram(l, k) <= wram(l+1, k) along k <= l <= n_max, capped by C(k,2)."""
-    if not 3 <= k <= n_max <= 8:
-        raise InputError(f"need 3 <= k <= n_max <= 8, got k={k}, n_max={n_max}")
+    if not 3 <= k <= n_max:
+        raise InputError(f"need 3 <= k <= n_max, got k={k}, n_max={n_max}")
+    _check_enumerable(n_max)
     values = [wram(ell, k).value for ell in range(k, n_max + 1)]
     chain_ok = all(a <= b for a, b in zip(values, values[1:]))
     return chain_ok and values[-1] <= Fraction(k * (k - 1), 2)

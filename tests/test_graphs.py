@@ -352,9 +352,39 @@ def _unbounded_class_masks(n_max: int) -> dict[int, tuple[int, ...]]:
             mask
             for top in levels[n - 1]
             for mask in range(top << (n - 1), (top + 1) << (n - 1))
-            if graphs._canonical_mask(n, mask, stop_early=True) == mask
+            if graphs._canonical_mask(n, mask, stop_early=True) is None
         )
     return levels
+
+
+def _relabeled(n: int, mask: int, side: int, label) -> int:
+    g = Graph(n, mask).complement() if side else Graph(n, mask)
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in g.edges()]).mask
+
+
+@st.composite
+def _masks_to_check(draw):
+    """A random mask on 3..8 vertices, most rejected while the top labels
+    take an independent set, or a child of a class mask as orderly
+    generation tries it, most rejected only after that."""
+    n = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        return n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    top = draw(st.sampled_from(graphs._class_masks(n - 1)))
+    return n, top << (n - 1) | draw(st.integers(0, (1 << (n - 1)) - 1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_masks_to_check())
+def test_stop_early_returns_a_lowering_relabeling(case):
+    n, mask = case
+    relabeling = graphs._canonical_mask(n, mask, stop_early=True)
+    if graphs._canonical_mask(n, mask) == mask:
+        assert relabeling is None
+    else:
+        side, label = relabeling
+        assert side in (0, 1) and sorted(label) == list(range(n))
+        assert _relabeled(n, mask, side, label) < mask
 
 
 def test_class_masks_match_the_unbounded_search():

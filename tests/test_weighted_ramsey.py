@@ -214,6 +214,25 @@ def test_monotonicity_chains():
     assert wram(4, 4).value == 3 <= 6
 
 
+def test_monotonicity_range_is_an_input_error():
+    with pytest.raises(InputError, match="need 3 <= k <= n_max, got k=2, n_max=5"):
+        check_monotonicity(2, 5)
+    with pytest.raises(InputError, match="need 3 <= k <= n_max, got k=5, n_max=4"):
+        check_monotonicity(5, 4)
+
+
+def test_monotonicity_past_the_enumeration_cap_runs_no_wram(monkeypatch):
+    def unreachable(*args):
+        pytest.fail("wram ran past the enumeration cap")
+
+    monkeypatch.setattr(weighted_ramsey, "wram", unreachable)
+    with pytest.raises(CapabilityError) as capped:
+        enumerate_colorings(9)
+    with pytest.raises(CapabilityError) as raised:
+        check_monotonicity(3, 9)
+    assert str(raised.value) == str(capped.value)
+
+
 def test_r_bounds_over_all_classes():
     for n in (4, 5):
         for c in enumerate_colorings(n):
