@@ -256,6 +256,8 @@ def _cmd_verify(args) -> RunReport:
     if args.construction == "k4":
         if args.n is None:
             raise InputError("k4 construction needs --n")
+        if args.k not in (None, 4):
+            raise InputError(f"k4 construction is for k = 4, got --k {args.k}")
         coloring, weights, total = construction_k4(args.n)
         k = 4
         inputs = {"construction": "k4", "n": args.n}

@@ -28,8 +28,8 @@ introduce one-edge members (an edge plus an isolated vertex).
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -480,18 +480,12 @@ def coloring_packing_stats(c: TwoColoring) -> ColoringPackingStats:
     return ColoringPackingStats(tau_c=_tau_sum(c), tau_star_sum=_tau_star_sum(c))
 
 
-def _class_statistic(n: int, statistic, red_mask: int) -> tuple[Fraction]:
-    return (Fraction(statistic(TwoColoring(Graph(n, red_mask)))),)
-
-
 def tau_min_over_colorings(n: int, fractional: bool) -> tuple[Fraction, TwoColoring]:
     """Minimum of the packing statistic over one coloring per class."""
-    mask, (value,) = _first_extremum(
-        [c.red.mask for c in enumerate_colorings(n)],
-        functools.partial(_class_statistic, n, _tau_star_sum if fractional else _tau_sum),
-        maximize=False,
+    coloring, value = _first_extremum(
+        enumerate_colorings(n), _tau_star_sum if fractional else _tau_sum, operator.neg
     )
-    return value, TwoColoring(Graph(n, mask))
+    return Fraction(value), coloring
 
 
 def triangle_packing_bound(n: int, tau: Fraction) -> Fraction:

@@ -25,12 +25,14 @@ slacks and rows, so Bland's rule on the joint program is Bland's rule on
 each block.  The final bases, the primal and the dual are the same.
 
 One search loop, ``_first_extremum``, finds every extremum over a list of
-coloring classes: the maximum of r over a supplied list here, the minimum
-of a packing statistic in ``packing``.  It maps a function of the red mask
-over the masks in class order and keeps the first best one: ties go to the
-earliest class.
+coloring classes: the maximum of r here, the minimum of a packing statistic
+in ``packing``.  It keeps the first item with the best value, and takes an
+optional upper bound per item: then it visits the items by descending bound
+and stops at the first bound below the best value.  Ties go to the earlier
+list index either way, so a bound changes which items are solved, never the
+result.
 
-The exhaustive search prunes with the vertex-deletion bound: for k < n,
+``wram`` bounds r with vertex deletion: for k < n,
 
     r(c; n, k) <= sum over v of r(c - v; n - 1, k) / (n - 2).
 
@@ -39,18 +41,17 @@ K_n - v is a k-set of K_n with the same monochromatic edges, so the
 restriction is feasible for c - v and its total is at most r(c - v).  Each
 edge uv lies in K_n - x for the n - 2 vertices x other than u and v, so
 the n restricted totals sum to (n - 2) r(c).  ``wram`` solves every class
-of K_{n-1} once, reads each c - v from ``graphs._deleted_classes``, and
-solves the classes of K_n in order of descending bound, ties by ascending
-mask, until a bound falls below the best r.  A class left unsolved has
-r <= bound < best; a class with r = best has bound >= best and was solved.
-So the value, and the witness (the smallest mask with r = best, solved by
-the same deterministic LP), are those of the unpruned search.  At n = k
-there is no lower level, and every class is solved.
+of K_{n-1} once and reads each c - v from ``graphs._deleted_classes``.  A
+class left unsolved has r <= bound < best; a class with r = best has
+bound >= best and was solved, so the value and the witness (the smallest
+mask with r = best) are those of the unbounded search.  At n = k no k-set
+fits in K_{n-1}, and the search runs unbounded over every class.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,7 +64,6 @@ from .graphs import (
     _class_masks,
     _deleted_classes,
     all_edges,
-    enumerate_colorings,
 )
 
 
@@ -148,46 +148,44 @@ def _r_of_mask(n: int, k: int, red_mask: int) -> tuple[Fraction, WeightAssignmen
     return r_of_coloring(TwoColoring(Graph(n, red_mask)), k)
 
 
-def _first_extremum(masks: list[int], fn, maximize: bool):
-    """The first (mask, fn(mask)) whose fn(mask)[0] is largest, or smallest."""
-    sign = 1 if maximize else -1
-    best = None
-    for mask in masks:
-        result = fn(mask)
-        if best is None or sign * result[0] > sign * best[1][0]:
-            best = (mask, result)
+def _first_extremum(items, fn, key, bounds=None):
+    """The first (item, fn(item)) with the largest key(fn(item)).
+
+    Without ``bounds`` the items are visited in list order.  With them,
+    ``bounds[i] >= key(fn(items[i]))``, the items are visited by descending
+    bound, ties in list order, and the search stops at the first bound
+    below the best key.  Either way a tie goes to the earlier list index.
+    """
+    order = range(len(items))
+    if bounds is not None:
+        order = sorted(order, key=bounds.__getitem__, reverse=True)
+    best = None  # (key, -index, result)
+    for i in order:
+        if best is not None and bounds is not None and bounds[i] < best[0]:
+            break
+        result = fn(items[i])
+        if best is None or (key(result), -i) > best[:2]:
+            best = (key(result), -i, result)
     if best is None:
         raise ContractViolationError("no coloring class to search")
-    return best
+    return items[-best[1]], best[2]
 
 
-def _pruned_maximum(n: int, k: int):
-    """``_first_extremum`` of r over the classes of K_n, k < n, solving only
-    the classes whose vertex-deletion bound reaches the best r so far."""
+def _deletion_bounds(n: int, k: int) -> list[Fraction]:
+    """The vertex-deletion bound on r of each class of K_n, k < n."""
     below = _class_masks(n - 1)
     r_below = dict(zip(below, (_r_of_mask(n - 1, k, m)[0] for m in below)))
-    # Each bound times n - 2, with the mask, in solving order.
-    order = sorted(
-        ((sum(map(r_below.__getitem__, deleted)), mask)
-         for mask, deleted in zip(_class_masks(n), _deleted_classes(n))),
-        key=lambda bound: (-bound[0], bound[1]),
-    )
-    best = None
-    for total, mask in order:
-        if best is not None and total < (n - 2) * best[1][0]:
-            break
-        result = _r_of_mask(n, k, mask)
-        # Ties go to the smaller mask, the earlier class.
-        if best is None or (result[0], -mask) > (best[1][0], -best[0]):
-            best = (mask, result)
-    return best
+    return [sum(map(r_below.__getitem__, deleted)) / (n - 2)
+            for deleted in _deleted_classes(n)]
 
 
-def _wram_result(n: int, k: int, best, classes: int, partial: bool) -> WramResult:
-    mask, (r_value, weights) = best
+def _wram_result(k: int, witness: TwoColoring, result, classes: int,
+                 partial: bool) -> WramResult:
+    n = witness.n
+    r_value, weights = result
     return WramResult(
         n=n, k=k, value=Fraction(n * (n - 1), 2) / r_value, r_value=r_value,
-        witness_coloring=TwoColoring(Graph(n, mask)), witness_weights=weights,
+        witness_coloring=witness, witness_weights=weights,
         partial=partial, num_colorings=classes,
     )
 
@@ -201,19 +199,21 @@ def wram(n: int, k: int) -> WramResult:
     """
     if not 3 <= k <= n:
         raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
-    masks = [c.red.mask for c in enumerate_colorings(n)]
-    if n == k:
-        best = _first_extremum(masks, functools.partial(_r_of_mask, n, k), maximize=True)
-    else:
-        best = _pruned_maximum(n, k)
-    return _wram_result(n, k, best, len(masks), partial=False)
+    _check_enumerable(n)
+    masks = _class_masks(n)
+    mask, result = _first_extremum(
+        masks, functools.partial(_r_of_mask, n, k), operator.itemgetter(0),
+        bounds=_deletion_bounds(n, k) if k < n else None,
+    )
+    return _wram_result(k, TwoColoring(Graph(n, mask)), result, len(masks), partial=False)
 
 
 def wram_for_colorings(colorings: list[TwoColoring], k: int) -> WramResult:
     """Same maximization over a supplied candidate list; flagged partial.
 
-    The result bounds wram(n, k) from above only when the list covers every
-    coloring class; otherwise it is a lower bound on r(n, k).
+    Every list gives an upper bound on wram(n, k), as its best r is at most
+    r(n, k); the bound is wram(n, k) itself when the list covers every
+    coloring class.
     """
     if not colorings:
         raise InputError("need at least one coloring")
@@ -222,10 +222,10 @@ def wram_for_colorings(colorings: list[TwoColoring], k: int) -> WramResult:
         raise InputError("all colorings must share the same vertex count")
     if not 3 <= k <= n:
         raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
-    best = _first_extremum(
-        [c.red.mask for c in colorings], functools.partial(_r_of_mask, n, k), maximize=True
+    witness, result = _first_extremum(
+        colorings, functools.partial(r_of_coloring, k=k), operator.itemgetter(0)
     )
-    return _wram_result(n, k, best, len(colorings), partial=True)
+    return _wram_result(k, witness, result, len(colorings), partial=True)
 
 
 def check_monotonicity(k: int, n_max: int) -> bool:

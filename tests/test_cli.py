@@ -322,6 +322,20 @@ def test_verify_constructions(capsys):
     assert "threshold" in err
 
 
+def test_verify_k4_rejects_another_k(capsys):
+    # The k4 certificate is for k = 4 only; --k 4 is accepted and changes
+    # nothing.
+    code, out, err = run_cli(
+        capsys, "--stable", "verify", "--construction", "k4", "--n", "8", "--k", "7"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: k4 construction is for k = 4, got --k 7\n"
+    _, plain, _ = run_cli(capsys, "--stable", "verify", "--construction", "k4", "--n", "8")
+    assert run_cli(
+        capsys, "--stable", "verify", "--construction", "k4", "--n", "8", "--k", "4"
+    ) == (0, plain, "")
+
+
 def test_verify_exit_4_on_failed_certificate(capsys, monkeypatch):
     from wramsey.errors import CertificateError
     import wramsey.cli as cli_mod

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import operator
 import random
 from fractions import Fraction as F
 
@@ -99,11 +100,13 @@ def test_wram_5_3_and_6_3():
     (8, 3, F(42, 19), 2022000),
     (8, 4, F(336, 85), 873700),
     (8, 5, F(40, 7), 2022000),
+    (7, 6, F(15, 2), 39456),
+    (7, 7, F(21, 2), 1),
 ])
 def test_exhaustive_values_and_first_maximizers(n, k, value, mask):
     # The witness is the first class, in canonical order, that attains r(n,k).
-    # At (6,5) 30 classes tie, so the pruned search must keep the first of
-    # them too.
+    # At (6,5) 30 classes tie, and at (7,6) the bounded order solves 515 of
+    # the 522 classes, so the pruned search must keep the first of them too.
     res = wram(n, k)
     assert (res.value, res.witness_coloring.red.mask) == (value, mask)
     assert r_of_coloring(res.witness_coloring, k) == (res.r_value, res.witness_weights)
@@ -148,7 +151,7 @@ def test_pruned_search_keeps_the_full_search_result():
         masks = [c.red.mask for c in enumerate_colorings(n)]
         for k in range(3, n + 1):
             mask, (r_value, weights) = _first_extremum(
-                masks, functools.partial(_r_of_mask, n, k), maximize=True
+                masks, functools.partial(_r_of_mask, n, k), operator.itemgetter(0)
             )
             res = wram(n, k)
             assert (res.r_value, res.witness_coloring.red.mask, res.witness_weights,
@@ -168,8 +171,6 @@ def test_vertex_deletion_bound_holds_on_every_class():
 
 
 def test_pruning_skips_classes(monkeypatch):
-    # At (7,3) all 78 classes of K_6 are solved, and the bound leaves 13 of
-    # the 522 of K_7.
     solved = []
 
     def counting(n, k, mask):
@@ -177,8 +178,15 @@ def test_pruning_skips_classes(monkeypatch):
         return _r_of_mask(n, k, mask)
 
     monkeypatch.setattr(weighted_ramsey, "_r_of_mask", counting)
+    # At (7,3) all 78 classes of K_6 are solved, and the bound leaves 13 of
+    # the 522 of K_7.
     assert wram(7, 3).value == F(42, 19)
     assert (solved.count(6), solved.count(7)) == (78, 13)
+    # At (7,7) no 7-set fits in K_6: there is no bound, and every class of
+    # K_7 is solved.
+    solved.clear()
+    assert wram(7, 7).value == F(21, 2)
+    assert (solved.count(6), solved.count(7)) == (0, 522)
 
 
 def test_wram_for_colorings_single_candidates():
@@ -325,4 +333,4 @@ def test_inconsistent_wram_result_is_a_certificate_failure():
 
 def test_maximizing_over_no_coloring_is_a_contract_violation():
     with pytest.raises(ContractViolationError):
-        _first_extremum([], abs, maximize=True)
+        _first_extremum([], abs, abs)
