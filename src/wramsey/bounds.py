@@ -3,10 +3,13 @@
 The lower-bound side combines exact Turán numbers with tabled upper bounds
 on diagonal Ramsey numbers into a density coefficient c(k); 1/c(k) bounds
 the limit from below.  The upper-bound side is constructive: two explicit
-colored weightings whose feasibility this module verifies k-subset by
+colored weightings whose feasibility this module verifies over every
 k-subset, in integers: the weights are scaled to numerators over one
-common denominator and each subset's red and blue loads are built up
-vertex by vertex along a depth-first lexicographic walk.
+common denominator, twin vertices are grouped into classes, and the red
+and blue loads are built up pick by pick along a depth-first walk over how
+many vertices a subset takes from each class.  Both constructions have
+few classes (2 and 5): the blow-up at n = 16, k = 6 has 145 count vectors
+for its 8008 6-subsets.
 
 Decimal constants from the large-k closed form are stored as exact
 rationals with their printed digits; comparisons against published table
@@ -156,19 +159,48 @@ def bounds_report(k: int) -> BoundsReport:
     )
 
 
+def _twin_classes(red: list[list[int]], blue: list[list[int]]) -> list[list[int]]:
+    """The twin classes of the tables, each ascending, ordered by least vertex.
+
+    u and v are twins when every third vertex x sees the same (red, blue)
+    numerators on ux as on vx: the rows of u and v agree once the entries
+    at u and v are swapped.  Twinship is an equivalence, so comparing with
+    each class's least vertex suffices.
+    """
+    classes: list[list[int]] = []
+    for v in range(len(red)):
+        for members in classes:
+            u = members[0]
+            ru, bu = red[u][:], blue[u][:]
+            ru[u], ru[v], bu[u], bu[v] = ru[v], ru[u], bu[v], bu[u]
+            if ru == red[v] and bu == blue[v]:
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
 def verify_weighting(c: TwoColoring, k: int, w: WeightAssignment) -> None:
     """Check every (k-subset, color) weight sum stays at most 1.
 
     Exact and exhaustive, in integers: the weights become numerators over
-    one common denominator ``den``, split into a red and a blue n x n
-    table.  The k-subsets are walked in lexicographic order, depth first;
-    each vertex added to a prefix extends the red and blue loads by its
-    weights to the vertices already chosen.  The subsets that complete a
-    (k-1)-prefix are compared against ``den`` through one exact maximum per
-    color, and scanned one by one, Red before Blue, only when a maximum
-    exceeds it.  ``Graph`` caps n at 16, where there are at most
-    C(16,8) = 12870 k-subsets.  Raises CertificateError on the first
-    violation in that order, naming its subset, color and rational weight.
+    one common denominator ``den``, in a red and a blue n x n table.  Twin
+    vertices (``_twin_classes``) are interchangeable: all edges inside a
+    class, or between two classes, carry the same numerators, so a
+    k-subset's loads depend only on how many vertices it takes from each
+    class.  The walk is over those count vectors, depth first; each pick
+    extends the red and blue loads by its weights to the picks before it.
+    The last pick is compared against ``den`` through one exact maximum
+    per color, and its candidates are scanned one by one only when a
+    maximum exceeds it.  Without twins this is the lexicographic walk over
+    all k-subsets, at most C(16,8) = 12870 under ``Graph``'s n <= 16 cap.
+
+    Raises CertificateError on the lexicographically first violating
+    subset, Red before Blue, naming its subset, color and rational weight.
+    A count vector stands for the subset of the lowest-numbered vertices
+    of each class, which is lexicographically first among the subsets with
+    those counts; the walk keeps the first over all violating vectors.
     """
     n = c.n
     if w.n != n:
@@ -182,37 +214,70 @@ def verify_weighting(c: TwoColoring, k: int, w: WeightAssignment) -> None:
         x = w.weights[(u, v)]
         table = red if c.red.mask >> i & 1 else blue
         table[u][v] = table[v][u] = x.numerator * (den // x.denominator)
-
+    classes = _twin_classes(red, blue)
+    p = len(classes)
+    # One vertex of each class stands for it; a class's own label sits on
+    # its diagonal.
+    reps = [m[0] for m in classes]
+    red_c = [[red[u][v] for v in reps] for u in reps]
+    blue_c = [[blue[u][v] for v in reps] for u in reps]
+    for i, m in enumerate(classes):
+        if len(m) > 1:
+            red_c[i][i], blue_c[i][i] = red[m[0]][m[1]], blue[m[0]][m[1]]
+    # Slots list the vertices class by class.  A subset takes a prefix of
+    # each class's slots, so after slot s (-1 before the first pick) comes
+    # slot s + 1 or the first slot of a later class.  steps[s + 1][need]
+    # lists those (class, slot) pairs that leave room for ``need`` picks:
+    # slot s + 1, which the pick of s made sure of, and the first slots up
+    # to n - need, which are those of the first fits[need] classes.
+    slots = [v for m in classes for v in m]
+    class_of = [i for i, m in enumerate(classes) for _ in m]
+    heads = [(i, class_of.index(i)) for i in range(p)]
+    fits = [sum(t <= n - need for _, t in heads) for need in range(k + 1)]
+    steps = []
+    for s in range(-1, n - 1):
+        lo = class_of[s + 1]
+        after = [(lo, s + 1)] + heads[lo + 1:]
+        steps.append([after[:max(1, f - lo)] for f in fits])
     chosen: list[int] = []
+    found = None  # (subset, 0 for Red or 1 for Blue, load)
 
-    def fail(color: str, v: int, load: int) -> CertificateError:
-        return CertificateError(
-            f"{color} subgraph on {tuple(chosen) + (v,)} "
-            f"exceeds the unit cap with weight {Fraction(load, den)}"
-        )
+    def note(color: int, s: int, j: int, load: int) -> None:
+        nonlocal found
+        t = s + 1 if j == class_of[s + 1] else heads[j][1]
+        subset = tuple(sorted(slots[x] for x in chosen + [t]))
+        if found is None or (subset, color) < found[:2]:
+            found = (subset, color, load)
 
-    def extend(start: int, r: int, b: int, add_r: list[int], add_b: list[int]) -> None:
-        # r and b are the loads of the prefix ``chosen``; add_r[v] and
-        # add_b[v] are the loads that vertex v would add to them.
-        if len(chosen) == k - 1:
+    def extend(s: int, need: int, r: int, b: int, add_r: list[int], add_b: list[int]) -> None:
+        # s is the last slot picked, and ``need`` picks are left; r and b
+        # are the loads of the picks ``chosen``; add_r[j] and add_b[j] are
+        # the loads that one more vertex of class j would add to them.
+        if need == 1:
             # The last vertex: one exact maximum per color clears every
-            # completion of this prefix at once; otherwise the completions
-            # are scanned in order for the first violation.
-            if r + max(add_r[start:]) > den or b + max(add_b[start:]) > den:
-                for v in range(start, n):
-                    if r + add_r[v] > den:
-                        raise fail("R", v, r + add_r[v])
-                    if b + add_b[v] > den:
-                        raise fail("B", v, b + add_b[v])
+            # completion at once; otherwise the candidates are scanned.
+            lo = class_of[s + 1]
+            if r + max(add_r[lo:]) > den or b + max(add_b[lo:]) > den:
+                for j in range(lo, p):
+                    if r + add_r[j] > den:
+                        note(0, s, j, r + add_r[j])
+                    if b + add_b[j] > den:
+                        note(1, s, j, b + add_b[j])
             return
-        for u in range(start, n - (k - 1 - len(chosen))):
-            chosen.append(u)
-            extend(u + 1, r + add_r[u], b + add_b[u],
-                   [x + y for x, y in zip(add_r, red[u])],
-                   [x + y for x, y in zip(add_b, blue[u])])
+        for u, t in steps[s + 1][need]:
+            chosen.append(t)
+            extend(t, need - 1, r + add_r[u], b + add_b[u],
+                   [x + y for x, y in zip(add_r, red_c[u])],
+                   [x + y for x, y in zip(add_b, blue_c[u])])
             chosen.pop()
 
-    extend(0, 0, 0, [0] * n, [0] * n)
+    extend(-1, k, 0, 0, [0] * p, [0] * p)
+    if found is not None:
+        subset, color, load = found
+        raise CertificateError(
+            f"{'RB'[color]} subgraph on {subset} "
+            f"exceeds the unit cap with weight {Fraction(load, den)}"
+        )
 
 
 def _certified(

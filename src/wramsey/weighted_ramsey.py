@@ -44,8 +44,11 @@ the n restricted totals sum to (n - 2) r(c).  ``wram`` solves every class
 of K_{n-1} once and reads each c - v from ``graphs._deleted_classes``.  A
 class left unsolved has r <= bound < best; a class with r = best has
 bound >= best and was solved, so the value and the witness (the smallest
-mask with r = best) are those of the unbounded search.  At n = k no k-set
-fits in K_{n-1}, and the search runs unbounded over every class.
+mask with r = best) are those of the unbounded search.  The bound applies
+only for k < n - 1: at n = k no k-set fits in K_{n-1}, and at n = k + 1
+solving the classes of K_{n-1} costs more than the few classes of K_n it
+skips (at (7,6), 78 solved to skip 7 of 522), so there the search runs
+unbounded over every class.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ def _first_extremum(items, fn, key, bounds=None):
 
 
 def _deletion_bounds(n: int, k: int) -> list[Fraction]:
-    """The vertex-deletion bound on r of each class of K_n, k < n."""
+    """The vertex-deletion bound on r of each class of K_n, k < n - 1."""
     below = _class_masks(n - 1)
     r_below = dict(zip(below, (_r_of_mask(n - 1, k, m)[0] for m in below)))
     return [sum(map(r_below.__getitem__, deleted)) / (n - 2)
@@ -203,7 +206,7 @@ def wram(n: int, k: int) -> WramResult:
     masks = _class_masks(n)
     mask, result = _first_extremum(
         masks, functools.partial(_r_of_mask, n, k), operator.itemgetter(0),
-        bounds=_deletion_bounds(n, k) if k < n else None,
+        bounds=_deletion_bounds(n, k) if k < n - 1 else None,
     )
     return _wram_result(k, TwoColoring(Graph(n, mask)), result, len(masks), partial=False)
 

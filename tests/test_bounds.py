@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wramsey import bounds
 from wramsey.errors import CertificateError, InputError
 from wramsey.bounds import (
     BoundsReport,
@@ -18,6 +20,7 @@ from wramsey.bounds import (
     tail_drop_threshold,
     bipartite_total_weight,
     blowup_total_weight,
+    _twin_classes,
     bounds_report,
     construction_blowup,
     construction_k4,
@@ -324,6 +327,61 @@ def _weighted_colorings(draw):
 def test_verify_weighting_matches_fraction_oracle(case):
     c, k, w = case
     assert _outcome(verify_weighting, c, k, w) == _outcome(_sum_over_constraints, c, k, w)
+
+
+@st.composite
+def _weighted_blowups(draw):
+    # A base coloring on p <= 5 classes blown up to n <= 10 vertices, the
+    # vertices dealt to the classes at random, with one color and weight
+    # per class pair and per class interior, so that twins are common;
+    # optionally one edge is recolored and reweighted, which splits them.
+    p = draw(st.integers(1, 5))
+    n = draw(st.integers(3, 10))
+    k = draw(st.integers(3, n))
+    part = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    label = {
+        pair: (draw(st.booleans()),
+               F(draw(st.integers(0, 4)), draw(st.sampled_from([1, 2, 3, 4, 5, 6]))))
+        for pair in itertools.combinations_with_replacement(range(p), 2)
+    }
+    edges = {(u, v): label[tuple(sorted((part[u], part[v])))] for u, v in all_edges(n)}
+    if draw(st.booleans()):
+        edge = draw(st.sampled_from(all_edges(n)))
+        edges[edge] = (draw(st.booleans()), F(draw(st.integers(0, 4)), 3))
+    pairs = k * (k - 1) // 2
+    scale = F(draw(st.integers(max(1, pairs // 2), 4 * pairs)), 2)
+    c = TwoColoring.from_red_edges(n, [e for e, (is_red, _) in edges.items() if is_red])
+    w = WeightAssignment(n, {e: x / scale for e, (_, x) in edges.items()})
+    return c, k, w
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_weighted_blowups())
+def test_verify_weighting_matches_fraction_oracle_on_blowups(case):
+    c, k, w = case
+    assert _outcome(verify_weighting, c, k, w) == _outcome(_sum_over_constraints, c, k, w)
+
+
+def test_verify_weighting_walks_twin_classes(monkeypatch):
+    # The walk is over count vectors of these classes; all single-vertex
+    # classes would stay correct but walk every k-subset.
+    walked = []
+
+    def recording(red, blue):
+        walked.append(_twin_classes(red, blue))
+        return walked[-1]
+
+    monkeypatch.setattr(bounds, "_twin_classes", recording)
+    construction_blowup(16, 6)
+    assert walked[-1] == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12], [13, 14, 15]]
+    construction_k4(16)
+    assert walked[-1] == [list(range(8)), list(range(8, 16))]
+    uniform = WeightAssignment(16, {e: F(1, 40) for e in all_edges(16)})
+    verify_weighting(TwoColoring.monochromatic(16), 8, uniform)
+    assert walked[-1] == [list(range(16))]
+    twin_free = TwoColoring(Graph(16, random.Random(1).getrandbits(120)))
+    verify_weighting(twin_free, 8, uniform)
+    assert walked[-1] == [[v] for v in range(16)]
 
 
 def test_verify_weighting_first_violation_messages():

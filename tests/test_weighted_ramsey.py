@@ -182,10 +182,13 @@ def test_pruning_skips_classes(monkeypatch):
     # the 522 of K_7.
     assert wram(7, 3).value == F(42, 19)
     assert (solved.count(6), solved.count(7)) == (78, 13)
-    # At (7,7) no 7-set fits in K_6: there is no bound, and every class of
-    # K_7 is solved.
+    # At (7,7) no 7-set fits in K_6, and at (7,6) the bound would cost more
+    # than it skips: there is no bound, and every class of K_7 is solved.
     solved.clear()
     assert wram(7, 7).value == F(21, 2)
+    assert (solved.count(6), solved.count(7)) == (0, 522)
+    solved.clear()
+    wram(7, 6)
     assert (solved.count(6), solved.count(7)) == (0, 522)
 
 
