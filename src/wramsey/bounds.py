@@ -2,7 +2,9 @@
 
 The lower-bound side combines exact Turán numbers with tabled upper bounds
 on diagonal Ramsey numbers into a density coefficient c(k); 1/c(k) bounds
-the limit from below.  The upper-bound side is constructive: two explicit
+the limit from below.  Each gap term is one integer pair (numerator,
+denominator), and c(k) is summed over one unreduced integer fraction and
+reduced once.  The upper-bound side is constructive: two explicit
 colored weightings whose feasibility this module verifies over every
 k-subset, in integers: the weights are scaled to numerators over one
 common denominator, twin vertices are grouped into classes, and the red
@@ -44,12 +46,23 @@ def diagonal_ramsey_upper(i: int) -> int:
     return _RAMSEY_UPPER[i]
 
 
+def _gap_exact(k: int, i: int) -> tuple[int, int]:
+    """t(k,2)/t(k,i-1) - t(k,2)/t(k,i) as an unreduced integer pair."""
+    lo, hi = turan_number(k, i - 1), turan_number(k, i)
+    return turan_number(k, 2) * (hi - lo), lo * hi
+
+
+def _gap_closed_form(k: int, i: int) -> tuple[int, int]:
+    """2*floor(k^2/4)/k^2 * (1/((i-1)(i-2)) - i/((i-1)(4k-5))), unreduced."""
+    m = 4 * k - 5
+    return 2 * (k * k // 4) * (m - i * (i - 2)), k * k * (i - 1) * (i - 2) * m
+
+
 def turan_ratio_gap(k: int, i: int) -> Fraction:
     """t(k,2)/t(k,i-1) - t(k,2)/t(k,i), the weight of one summation term."""
     if not 3 <= i <= k:
         raise InputError(f"need 3 <= i <= k, got i={i}, k={k}")
-    t2 = Fraction(turan_number(k, 2))
-    return t2 / turan_number(k, i - 1) - t2 / turan_number(k, i)
+    return Fraction(*_gap_exact(k, i))
 
 
 def turan_ratio_gap_lower(k: int, i: int) -> Fraction:
@@ -58,20 +71,26 @@ def turan_ratio_gap_lower(k: int, i: int) -> Fraction:
         raise InputError(f"the closed-form gap bound needs k >= 9, got {k}")
     if not 3 <= i <= 8:
         raise InputError(f"need 3 <= i <= 8, got {i}")
-    lead = Fraction(2, k * k) * (k * k // 4)
-    return lead * (Fraction(1, (i - 1) * (i - 2)) - Fraction(i, i - 1) / (4 * k - 5))
+    return Fraction(*_gap_closed_form(k, i))
 
 
 def _density(k: int) -> tuple[Fraction, tuple[tuple[int, Fraction, int], ...]]:
-    """c(k) and its per-i terms (i, gap, tabled Ramsey bound)."""
+    """c(k) and its per-i terms (i, gap, tabled Ramsey bound).
+
+    The sum of gap/R over the terms is kept as one unreduced integer
+    fraction p/q, so c(k) = (1 - p/q)/t(k,2) is reduced once.
+    """
     if k < 4:
         raise InputError(f"density coefficient defined for k >= 4, got {k}")
-    gap = turan_ratio_gap if k <= 8 else turan_ratio_gap_lower
-    terms = tuple(
-        (i, gap(k, i), diagonal_ramsey_upper(i)) for i in range(3, min(k, 8) + 1)
-    )
-    acc = 1 - sum(term / ramsey for _, term, ramsey in terms)
-    return acc / turan_number(k, 2), terms
+    gap = _gap_exact if k <= 8 else _gap_closed_form
+    terms = []
+    p, q = 0, 1
+    for i in range(3, min(k, 8) + 1):
+        num, den = gap(k, i)
+        ramsey = _RAMSEY_UPPER[i]
+        terms.append((i, Fraction(num, den), ramsey))
+        p, q = p * den * ramsey + num * q, q * den * ramsey
+    return Fraction(q - p, q * turan_number(k, 2)), tuple(terms)
 
 
 def density_coefficient(k: int) -> Fraction:

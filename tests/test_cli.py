@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bounds_oracle
 from wramsey import exactnum
 from wramsey.cli import (
     RunReport,
@@ -426,8 +427,35 @@ def test_rational_and_decimal_formatting():
     assert parse_rational("15/7") == F(15, 7)
     assert format_decimal(F(607, 2550) * 4) == "0.952157"
     assert format_decimal(F(-1, 3), places=4) == "-0.3333"
+    # Ties go to the even digit; a tiny negative keeps its sign.
+    assert format_decimal(F(1, 2 * 10**6)) == "0.000000"
+    assert format_decimal(F(3, 2 * 10**6)) == "0.000002"
+    assert format_decimal(F(-1, 10**7)) == "-0.000000"
     with pytest.raises(Exception):
         parse_rational("x/y")
+
+
+@st.composite
+def _decimal_cases(draw):
+    """(x, places): any rational, a half-way tie at ``places``, or a tiny
+    negative that renders as minus zero."""
+    places = draw(st.integers(0, 8))
+    scale = 10**places
+    kind = draw(st.sampled_from(["any", "tie", "tiny"]))
+    if kind == "tie":
+        # (2m + 1)/(2 * 10^places): the scaled value is m + 1/2, m of
+        # either parity and sign.
+        return F(2 * draw(st.integers(-10**6, 10**6)) + 1, 2 * scale), places
+    if kind == "tiny":
+        return F(-1, draw(st.integers(2 * scale + 1, 10**12))), places
+    return F(draw(st.integers(-10**12, 10**12)), draw(st.integers(1, 10**9))), places
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_decimal_cases())
+def test_decimal_formatting_matches_round(case):
+    x, places = case
+    assert format_decimal(x, places) == bounds_oracle.format_decimal(x, places)
 
 
 def test_subgraph_weight_serialization_masks():
@@ -453,17 +481,32 @@ def test_readme_examples_match_pinned_output(capsys, name, argv):
     assert out == (_PINNED / f"{name}.json").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("table, as_json, digest", [
-    ("turan", False, "6267a7ca2efaa9975258b58d19ca01419067e46567bc1506dbdb4cb2a52f1547"),
-    ("turan", True, "c5f974b87acc559d9765312efefae000b13d2bf020f655ac9d2f6789c1aceba1"),
-    ("alpha", False, "66a9793e07f65281a6cb5c5c3e7b1a3337e49f525270c9d7aab75ea05e0335b0"),
-    ("alpha", True, "d9c9983f10faed1659deb078247257d56304e536e097bcea017005cb456adc1c"),
-    ("ck", False, "662a3647111b51b54555b5d3aa4dfd6816f9f5b13bfc4edc11b1de7a50609f4f"),
-    ("ck", True, "4cbe9ec2ae921e3e130e3b4eccf9a80a60c2a358f7b2b6cad16f3cb10545af63"),
-])
-def test_bounds_tables_match_pinned_digest(capsys, table, as_json, digest):
-    # sha256 of the --stable stdout; the full tables are too large to pin as files.
-    argv = ["--json"] * as_json + ["bounds", "--table", table, "--kmax", "100"]
+_PINNED_DIGESTS = [
+    # (table, kmax, as_json, sha256 of the --stable stdout)
+    ("turan", 100, False, "6267a7ca2efaa9975258b58d19ca01419067e46567bc1506dbdb4cb2a52f1547"),
+    ("turan", 100, True, "c5f974b87acc559d9765312efefae000b13d2bf020f655ac9d2f6789c1aceba1"),
+    ("alpha", 100, False, "66a9793e07f65281a6cb5c5c3e7b1a3337e49f525270c9d7aab75ea05e0335b0"),
+    ("alpha", 100, True, "d9c9983f10faed1659deb078247257d56304e536e097bcea017005cb456adc1c"),
+    ("ck", 100, False, "662a3647111b51b54555b5d3aa4dfd6816f9f5b13bfc4edc11b1de7a50609f4f"),
+    ("ck", 100, True, "4cbe9ec2ae921e3e130e3b4eccf9a80a60c2a358f7b2b6cad16f3cb10545af63"),
+    ("alpha", 300, False, "b1921f58d7ef54ca067f4c23694862e619743c606714693a3c9513d06d4cdedf"),
+    ("alpha", 300, True, "abd5b867ac502b1278e0fc425312c832df7e75d1eb2a353618d055e152560f73"),
+    ("ck", 1000, False, "fd9b99a80c2ed9a5c73bb4fca33837ce03155d43ac640ad277bd2771277eea27"),
+    ("ck", 1000, True, "600a3046a0c1924f03eef4bffc406eb366fd4216abf30a5ea3ebcee6f3f3c2ec"),
+    ("lk", 1000, False, "b742fb6e0103a81984e13be9ff0798e812ae795377a929c56f3d05622d5b16ca"),
+    ("lk", 1000, True, "801b633244ce25735651c1893a7f5734c7e62b3929e43559754e961e8b8d7c93"),
+]
+
+
+# The ids name kmax only past 100, so the kmax 100 cases keep their names.
+@pytest.mark.parametrize(
+    "table, kmax, as_json, digest", _PINNED_DIGESTS,
+    ids=[f"{t}-{j}-{d}" if k == 100 else f"{t}-{k}-{j}-{d}" for t, k, j, d in _PINNED_DIGESTS],
+)
+def test_bounds_tables_match_pinned_digest(capsys, table, kmax, as_json, digest):
+    # sha256 of the --stable stdout; the full tables are too large to pin as
+    # files.  The largest numerators and denominators come from large k.
+    argv = ["--json"] * as_json + ["bounds", "--table", table, "--kmax", str(kmax)]
     code, out, err = run_cli(capsys, "--stable", *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
