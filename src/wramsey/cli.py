@@ -43,7 +43,6 @@ from .weighted_ramsey import wram, wram_for_colorings
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -54,16 +53,15 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"bad rational {text!r}") from exc
 
 
-def format_decimal(x: Fraction, places: int = 6) -> str:
-    """Exact fixed-point rendering by integer division, round-half-even,
+def format_decimal(x: Fraction) -> str:
+    """Exact six-place rendering by integer division, round-half-even,
     platform independent."""
-    x = Fraction(x)
     sign = "-" if x < 0 else ""
-    scaled, rest = divmod(abs(x.numerator) * 10**places, x.denominator)
+    scaled, rest = divmod(abs(x.numerator) * 10**6, x.denominator)
     if 2 * rest > x.denominator or 2 * rest == x.denominator and scaled & 1:
         scaled += 1
-    whole, frac = divmod(scaled, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(scaled, 10**6)
+    return f"{sign}{whole}.{frac:06d}"
 
 
 def format_subgraph_weights(sw: SubgraphWeights) -> str:

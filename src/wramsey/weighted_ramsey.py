@@ -61,12 +61,11 @@ from fractions import Fraction
 from .errors import CapabilityError, CertificateError, ContractViolationError, InputError
 from .exactnum import Relation, Sense, solve_unit_program
 from .graphs import (
-    Graph,
     TwoColoring,
     _check_enumerable,
-    _class_masks,
     _deleted_classes,
     all_edges,
+    enumerate_colorings,
 )
 
 
@@ -147,10 +146,6 @@ def r_of_coloring(c: TwoColoring, k: int) -> tuple[Fraction, WeightAssignment]:
     return value, WeightAssignment(n, weights)
 
 
-def _r_of_mask(n: int, k: int, red_mask: int) -> tuple[Fraction, WeightAssignment]:
-    return r_of_coloring(TwoColoring(Graph(n, red_mask)), k)
-
-
 def _first_extremum(items, fn, key, bounds=None):
     """The first (item, fn(item)) with the largest key(fn(item)).
 
@@ -176,20 +171,21 @@ def _first_extremum(items, fn, key, bounds=None):
 
 def _deletion_bounds(n: int, k: int) -> list[Fraction]:
     """The vertex-deletion bound on r of each class of K_n, k < n - 1."""
-    below = _class_masks(n - 1)
-    r_below = dict(zip(below, (_r_of_mask(n - 1, k, m)[0] for m in below)))
+    r_below = {c.red.mask: r_of_coloring(c, k)[0] for c in enumerate_colorings(n - 1)}
     return [sum(map(r_below.__getitem__, deleted)) / (n - 2)
             for deleted in _deleted_classes(n)]
 
 
-def _wram_result(k: int, witness: TwoColoring, result, classes: int,
-                 partial: bool) -> WramResult:
+def _max_r(colorings: list[TwoColoring], k: int, bounds, partial: bool) -> WramResult:
+    """The first coloring of the list with the largest r, as a WramResult."""
+    witness, (r_value, weights) = _first_extremum(
+        colorings, functools.partial(r_of_coloring, k=k), operator.itemgetter(0), bounds
+    )
     n = witness.n
-    r_value, weights = result
     return WramResult(
         n=n, k=k, value=Fraction(n * (n - 1), 2) / r_value, r_value=r_value,
         witness_coloring=witness, witness_weights=weights,
-        partial=partial, num_colorings=classes,
+        partial=partial, num_colorings=len(colorings),
     )
 
 
@@ -202,13 +198,8 @@ def wram(n: int, k: int) -> WramResult:
     """
     if not 3 <= k <= n:
         raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
-    _check_enumerable(n)
-    masks = _class_masks(n)
-    mask, result = _first_extremum(
-        masks, functools.partial(_r_of_mask, n, k), operator.itemgetter(0),
-        bounds=_deletion_bounds(n, k) if k < n - 1 else None,
-    )
-    return _wram_result(k, TwoColoring(Graph(n, mask)), result, len(masks), partial=False)
+    return _max_r(enumerate_colorings(n), k,
+                  _deletion_bounds(n, k) if k < n - 1 else None, partial=False)
 
 
 def wram_for_colorings(colorings: list[TwoColoring], k: int) -> WramResult:
@@ -216,7 +207,7 @@ def wram_for_colorings(colorings: list[TwoColoring], k: int) -> WramResult:
 
     Every list gives an upper bound on wram(n, k), as its best r is at most
     r(n, k); the bound is wram(n, k) itself when the list covers every
-    coloring class.
+    coloring class.  Ties go to the earlier list entry.
     """
     if not colorings:
         raise InputError("need at least one coloring")
@@ -225,10 +216,7 @@ def wram_for_colorings(colorings: list[TwoColoring], k: int) -> WramResult:
         raise InputError("all colorings must share the same vertex count")
     if not 3 <= k <= n:
         raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
-    witness, result = _first_extremum(
-        colorings, functools.partial(r_of_coloring, k=k), operator.itemgetter(0)
-    )
-    return _wram_result(k, witness, result, len(colorings), partial=True)
+    return _max_r(colorings, k, None, partial=True)
 
 
 def check_monotonicity(k: int, n_max: int) -> bool:

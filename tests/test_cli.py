@@ -426,7 +426,7 @@ def test_rational_and_decimal_formatting():
     assert format_rational(F(15, 7)) == "15/7"
     assert parse_rational("15/7") == F(15, 7)
     assert format_decimal(F(607, 2550) * 4) == "0.952157"
-    assert format_decimal(F(-1, 3), places=4) == "-0.3333"
+    assert format_decimal(F(-1, 3)) == "-0.333333"
     # Ties go to the even digit; a tiny negative keeps its sign.
     assert format_decimal(F(1, 2 * 10**6)) == "0.000000"
     assert format_decimal(F(3, 2 * 10**6)) == "0.000002"
@@ -437,25 +437,22 @@ def test_rational_and_decimal_formatting():
 
 @st.composite
 def _decimal_cases(draw):
-    """(x, places): any rational, a half-way tie at ``places``, or a tiny
-    negative that renders as minus zero."""
-    places = draw(st.integers(0, 8))
-    scale = 10**places
+    """Any rational, a half-way tie at the sixth place, or a tiny negative
+    that renders as minus zero."""
     kind = draw(st.sampled_from(["any", "tie", "tiny"]))
     if kind == "tie":
-        # (2m + 1)/(2 * 10^places): the scaled value is m + 1/2, m of
-        # either parity and sign.
-        return F(2 * draw(st.integers(-10**6, 10**6)) + 1, 2 * scale), places
+        # (2m + 1)/(2 * 10^6): the scaled value is m + 1/2, m of either
+        # parity and sign.
+        return F(2 * draw(st.integers(-10**6, 10**6)) + 1, 2 * 10**6)
     if kind == "tiny":
-        return F(-1, draw(st.integers(2 * scale + 1, 10**12))), places
-    return F(draw(st.integers(-10**12, 10**12)), draw(st.integers(1, 10**9))), places
+        return F(-1, draw(st.integers(2 * 10**6 + 1, 10**12)))
+    return F(draw(st.integers(-10**12, 10**12)), draw(st.integers(1, 10**9)))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_decimal_cases())
-def test_decimal_formatting_matches_round(case):
-    x, places = case
-    assert format_decimal(x, places) == bounds_oracle.format_decimal(x, places)
+def test_decimal_formatting_matches_round(x):
+    assert format_decimal(x) == bounds_oracle.format_decimal(x)
 
 
 def test_subgraph_weight_serialization_masks():

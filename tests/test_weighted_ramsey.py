@@ -1,8 +1,7 @@
 """Weight LP over colorings, exhaustive search, monotone chain."""
 
-import functools
+import dataclasses
 import itertools
-import operator
 import random
 from fractions import Fraction as F
 
@@ -28,7 +27,6 @@ from wramsey.graphs import (
 from wramsey.packing import r_induced
 from wramsey.weighted_ramsey import (
     _first_extremum,
-    _r_of_mask,
     WeightAssignment,
     WramResult,
     check_monotonicity,
@@ -145,17 +143,21 @@ def test_wram_capability_cap():
 
 
 def test_pruned_search_keeps_the_full_search_result():
-    # Value, witness mask, witness weights and class count all match the
-    # first maximizer over every class, (6,5) and its 30-way tie included.
-    for n in range(3, 7):
-        masks = [c.red.mask for c in enumerate_colorings(n)]
-        for k in range(3, n + 1):
-            mask, (r_value, weights) = _first_extremum(
-                masks, functools.partial(_r_of_mask, n, k), operator.itemgetter(0)
-            )
-            res = wram(n, k)
-            assert (res.r_value, res.witness_coloring.red.mask, res.witness_weights,
-                    res.num_colorings) == (r_value, mask, weights, len(masks))
+    # Value, witness, witness weights and class count all match the first
+    # maximizer over the supplied list of every class, (6,5) and its 30-way
+    # tie included.
+    cases = [(n, k) for n in range(3, 7) for k in range(3, n + 1)] + [(7, 3), (7, 4)]
+    for n, k in cases:
+        full = wram_for_colorings(enumerate_colorings(n), k)
+        assert dataclasses.replace(full, partial=False) == wram(n, k), (n, k)
+
+
+def test_supplied_list_ties_go_to_the_earlier_entry():
+    # At (6,5) 30 classes tie; a reversed list keeps its own first maximizer.
+    res, full = wram_for_colorings(enumerate_colorings(6)[::-1], 5), wram(6, 5)
+    assert (res.witness_coloring.red.mask, res.partial) == (4060, True)
+    assert (full.witness_coloring.red.mask, full.partial) == (656, False)
+    assert res.r_value == full.r_value
 
 
 def test_vertex_deletion_bound_holds_on_every_class():
@@ -173,11 +175,11 @@ def test_vertex_deletion_bound_holds_on_every_class():
 def test_pruning_skips_classes(monkeypatch):
     solved = []
 
-    def counting(n, k, mask):
-        solved.append(n)
-        return _r_of_mask(n, k, mask)
+    def counting(c, k):
+        solved.append(c.n)
+        return r_of_coloring(c, k)
 
-    monkeypatch.setattr(weighted_ramsey, "_r_of_mask", counting)
+    monkeypatch.setattr(weighted_ramsey, "r_of_coloring", counting)
     # At (7,3) all 78 classes of K_6 are solved, and the bound leaves 13 of
     # the 522 of K_7.
     assert wram(7, 3).value == F(42, 19)
