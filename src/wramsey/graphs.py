@@ -46,6 +46,16 @@ def all_edges(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(n), 2))
 
 
+@lru_cache(maxsize=None)
+def _subset_pairs(n: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each k-subset of range(n), in combinations order, with the K_n
+    indices of its pairs, ascending."""
+    return tuple(
+        (subset, tuple(edge_index(n, u, v) for u, v in itertools.combinations(subset, 2)))
+        for subset in itertools.combinations(range(n), k)
+    )
+
+
 def edges_to_mask(n: int, edges) -> int:
     mask = 0
     for u, v in edges:
@@ -118,12 +128,18 @@ class Graph:
     def induced_rows(self, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each k-set S with an edge in G[S], in combinations order, paired
         with the ascending positions in ``edges()`` of the edges of G[S].
-        Rows of the weight LP; at k = 3, the triangles and packing members."""
-        position = {e: i for i, e in enumerate(self.edges())}.get
+        Rows of the weight LP; at k = 3, the triangles and packing members.
+
+        Each k-subset and the K_n indices of its pairs come from the table
+        ``_subset_pairs(n, k)``; the rank of each pair among the edges maps
+        those indices to positions in ``edges()``.
+        """
+        rank = [-1] * self.num_pairs
+        for i, p in enumerate(p for p in range(self.num_pairs) if self.mask >> p & 1):
+            rank[p] = i
         rows = []
-        for subset in itertools.combinations(range(self.n), k):
-            row = tuple(i for i in map(position, itertools.combinations(subset, 2))
-                        if i is not None)
+        for subset, pairs in _subset_pairs(self.n, k):
+            row = tuple([r for r in map(rank.__getitem__, pairs) if r >= 0])
             if row:
                 rows.append((subset, row))
         return rows

@@ -16,6 +16,19 @@ costs; ``exactnum.solve_unit_program`` solves and certifies it.  A member
 is a vertex triple from ``Graph.induced_rows(3)`` with the positions in
 ``g.edges()`` of its edges; only the witness's members become descriptors.
 
+An edge's single-edge member is the same column on every triple that holds
+it, so ``r_induced`` and ``r_tilde`` pose it once, on the first such triple
+in combinations order.  Under Bland's rule the pivot path, and with it
+every optimum and witness, is that of the program with every copy:
+
+* identical columns have equal reduced costs, so the first copy is always
+  priced first, and a later copy never enters while the first is nonbasic;
+* a copy of a basic column prices at 0, so it never enters either;
+* the crash basis takes the first decision column of each row, the first
+  copy;
+* when phase 1 drives an artificial out, a copy of a basic column has no
+  entry on a logical row, so the drive-out passes over it.
+
 The two minima are equal; the constructive conversions between their
 solutions, and between packings and covers, are implemented as weight
 redistribution algorithms operating on ``SubgraphWeights``.
@@ -91,7 +104,8 @@ class SubgraphWeights:
             w = Fraction(w)
             if w < 0:
                 raise InputError(f"negative weight on {desc}")
-            if max(desc.vertices) >= self.graph.n:
+            lo, _, hi = desc.vertices
+            if lo < 0 or hi >= self.graph.n:
                 raise InputError(f"{desc} does not live on the base graph")
             for u, v in desc.edges:
                 if not self.graph.has_edge(u, v):
@@ -225,20 +239,47 @@ def _unit_program(g: Graph, members: list[tuple[tuple[int, ...], tuple[int, ...]
     })
 
 
+def _single_edges_once(members):
+    """The members in order, each single-edge member only on the first
+    triple that carries its edge (see the module docstring)."""
+    posed = set()
+    out = []
+    for member in members:
+        member_edges = member[1]
+        if len(member_edges) == 1:
+            if member_edges in posed:
+                continue
+            posed.add(member_edges)
+        out.append(member)
+    return out
+
+
 def r_induced(g: Graph) -> tuple[Fraction, SubgraphWeights]:
-    """Minimum fractional cover of E(G) by induced 3-vertex subgraphs."""
+    """Minimum fractional cover of E(G) by induced 3-vertex subgraphs.
+
+    Triples that induce the same single edge are the same column; only the
+    first in combinations order is posed.  Bland's rule never enters a
+    later copy (module docstring), so the optimum and witness are those of
+    the program over every triple.
+    """
     _require_cap(g, _R_INDUCED_CAP, "induced cover")
-    return _unit_program(g, g.induced_rows(3), Sense.MIN, Relation.GE)
+    return _unit_program(g, _single_edges_once(g.induced_rows(3)), Sense.MIN, Relation.GE)
 
 
 def r_tilde(g: Graph) -> tuple[Fraction, SubgraphWeights]:
-    """Minimum total weight with every edge loaded exactly once."""
+    """Minimum total weight with every edge loaded exactly once.
+
+    Each edge's single-edge member is posed only on the first triple that
+    holds the edge.  Its copies on later triples are the same column, which
+    Bland's rule never enters (module docstring), so the optimum and witness
+    are those of the program over every member.
+    """
     _require_cap(g, _R_TILDE_CAP, "exact-load cover")
-    return _unit_program(g, [
+    return _unit_program(g, _single_edges_once(
         (triple, subset) for triple, row in g.induced_rows(3)
         for size in range(1, len(row) + 1)
         for subset in itertools.combinations(row, size)
-    ], Sense.MIN, Relation.EQ)
+    ), Sense.MIN, Relation.EQ)
 
 
 def lift_tilde_to_induced(tw: SubgraphWeights) -> SubgraphWeights:

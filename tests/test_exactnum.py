@@ -363,17 +363,27 @@ def test_pinned_witness_tau_star_dense_8(monkeypatch):
 
 
 def test_pinned_witness_r_tilde_dense_8(monkeypatch):
+    # Each edge's single-edge member is posed once, so the columns are the
+    # 140 members with two or three edges and 23 single-edge members.  The
+    # witness is pinned by member: the column of a member depends on which
+    # copies are posed, the member does not.
     seen = capture_unit_programs(monkeypatch)
-    value, _ = packing.r_tilde(_DENSE_8)
+    value, witness = packing.r_tilde(_DENSE_8)
     (num_vars, rows, _, _), sol = seen[-1]
-    assert (num_vars, len(rows)) == (278, 23)
+    assert (num_vars, len(rows)) == (163, 23)
     assert value == sol.optimum == F(23, 3)
-    assert _nonzero(sol.primal) == {
-        9: "1/2", 16: "1/3", 30: "1/6", 51: "1/6", 61: "1/3", 71: "1/2",
-        84: "1/2", 100: "2/3", 107: "1/6", 121: "1/6", 138: "1/2",
-        169: "1/6", 176: "2/3", 183: "1/6", 200: "1/3", 217: "1/3",
-        224: "1/6", 231: "2/3", 244: "5/6", 257: "1/6", 267: "1/6",
+    pinned = {
+        (0, 1, 3): "1/2", (0, 1, 4): "1/3", (0, 1, 6): "1/6", (0, 3, 4): "1/6",
+        (0, 3, 6): "1/3", (0, 4, 5): "1/2", (0, 5, 6): "1/2", (1, 2, 4): "2/3",
+        (1, 2, 5): "1/6", (1, 2, 7): "1/6", (1, 3, 6): "1/2", (1, 5, 6): "1/6",
+        (1, 5, 7): "2/3", (1, 6, 7): "1/6", (2, 4, 5): "1/3", (2, 5, 6): "1/3",
+        (2, 5, 7): "1/6", (2, 6, 7): "2/3", (3, 4, 7): "5/6", (3, 6, 7): "1/6",
+        (4, 5, 7): "1/6",
     }
+    # Every member of the witness is a triangle, in column order.
+    assert all(d.is_triangle for d in witness.weights)
+    assert {d.vertices: str(w) for d, w in witness.weights.items()} == pinned
+    assert [str(v) for v in sol.primal if v] == list(pinned.values())
     assert sol.dual == (F(1, 3),) * 23
 
 

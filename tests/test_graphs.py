@@ -154,6 +154,28 @@ def test_induced_rows_are_the_nonempty_induced_edge_sets():
             assert rows == expected
 
 
+def _induced_rows_oracle(g: Graph, k: int):
+    """The earlier ``Graph.induced_rows``: every pair of every k-set looked
+    up among the edge positions."""
+    position = {e: i for i, e in enumerate(g.edges())}.get
+    rows = []
+    for subset in itertools.combinations(range(g.n), k):
+        row = tuple(i for i in map(position, itertools.combinations(subset, 2))
+                    if i is not None)
+        if row:
+            rows.append((subset, row))
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(3, 10).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))))
+def test_induced_rows_match_the_comprehension_oracle(graph):
+    g = Graph(*graph)
+    for k in range(3, g.n + 1):
+        assert g.induced_rows(k) == _induced_rows_oracle(g, k)
+
+
 def test_balanced_blowup_structure():
     base = mono_triangle_free_k5()
     blown = balanced_blowup(base, 10)

@@ -1,17 +1,22 @@
 """Packing/covering invariants and the constructive conversions."""
 
+import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import packing_oracle
 from dense_oracle import solve_unit as dense_solve_unit
 from unit_programs import capture_unit_programs
 from wramsey import packing
 from wramsey.errors import CapabilityError, ContractViolationError, InputError
-from wramsey.graphs import Graph, TwoColoring, mono_triangle_free_k5
+from wramsey.exactnum import Relation, Sense
+from wramsey.graphs import Graph, TwoColoring, enumerate_colorings, mono_triangle_free_k5
 from wramsey.packing import (
     ColoringPackingStats,
     SubgraphDescriptor,
@@ -32,6 +37,7 @@ from wramsey.packing import (
     triangle_packing_bound,
     triangle_packing_bound_limit,
 )
+from wramsey.weighted_ramsey import r_of_coloring
 
 
 def _random_graph(rng: random.Random, n: int, p: F) -> Graph:
@@ -462,7 +468,7 @@ def test_triangle_packing_bound_finite_form():
 
 
 def test_finite_consistency_with_computed_tau():
-    from wramsey.weighted_ramsey import r_of_coloring, wram
+    from wramsey.weighted_ramsey import wram
 
     # n: min tau*, min tau, wram(n,3), its witness mask, and
     # triangle_packing_bound(n, min tau*).
@@ -502,6 +508,14 @@ def test_descriptor_validation():
         SubgraphDescriptor((0, 1, 2), ((0, 3),))
 
 
+@pytest.mark.parametrize("vertices", [(-2, 0, 1), (0, 1, 4)])
+def test_subgraph_weights_reject_vertices_off_the_base_graph(vertices):
+    # A negative vertex once passed and loaded edge (0, 1) of K_4.
+    desc = SubgraphDescriptor(vertices, ((0, 1),))
+    with pytest.raises(InputError, match="does not live on the base graph"):
+        SubgraphWeights(Graph(4, 1), {desc: 1})
+
+
 # -- the descriptor-based oracle --------------------------------------------
 
 def _oracle_corpus() -> list[Graph]:
@@ -520,10 +534,39 @@ def test_triangles_and_integral_family_match_oracle():
         assert tau_integral_family(g) == packing_oracle.tau_integral_family(g)
 
 
+# Each LP's members in the oracle's design, one column each.
+_ORACLE_MEMBERS = {
+    "tau_star": lambda g: [packing_oracle.induced_descriptor(g, t)
+                           for t in packing_oracle.triangles(g)],
+    "r_induced": packing_oracle.induced_members,
+    "r_tilde": packing_oracle.all_members,
+}
+
+
+def _without_later_single_edge_copies(program, solution, members):
+    """The oracle's program and solution with every single-edge column but
+    the first of its edge removed; the removed columns must be 0."""
+    num_vars, rows, sense, relation = program
+    posed, kept = set(), []
+    for j, d in enumerate(members):
+        if d.edge_count == 1:
+            if d.edges in posed:
+                continue
+            posed.add(d.edges)
+        kept.append(j)
+    assert len(members) == num_vars
+    column = {j: i for i, j in enumerate(kept)}
+    assert not any(v for j, v in enumerate(solution.primal) if j not in column)
+    rows = tuple(tuple(column[j] for j in row if j in column) for row in rows)
+    return ((len(kept), rows, sense, relation),
+            dataclasses.replace(solution, primal=tuple(solution.primal[j] for j in kept)))
+
+
 @pytest.mark.parametrize("name", ["tau_star", "r_induced", "r_tilde"])
 def test_packing_lps_match_oracle(monkeypatch, name):
-    # The same unit programs and LpSolutions, and the same witness entries in
-    # the same order; the n = 9 graphs only feed the cheaper test above.
+    # The oracle's unit programs with the later copies of each single-edge
+    # member removed, their LpSolutions, and the same witness entries in the
+    # same order; the n = 9 graphs only feed the cheaper test above.
     seen = capture_unit_programs(monkeypatch)
     solved = 0
     for g in _oracle_corpus():
@@ -533,7 +576,8 @@ def test_packing_lps_match_oracle(monkeypatch, name):
         ours = seen[:]
         seen.clear()
         want, want_witness = getattr(packing_oracle, name)(g)
-        assert ours == seen
+        assert ours == [_without_later_single_edge_copies(program, sol, _ORACLE_MEMBERS[name](g))
+                        for program, sol in seen]
         # The unit path's solutions are those of the dense oracle on the
         # same programs.
         for program, sol in ours:
@@ -543,6 +587,32 @@ def test_packing_lps_match_oracle(monkeypatch, name):
         assert value == want
         assert list(witness.weights.items()) == list(want_witness.weights.items())
     assert solved > 0
+
+
+def _full_members(g: Graph, name: str):
+    """Every member of the r_induced or r_tilde LP, with every copy of each
+    single-edge member, in column order."""
+    rows = g.induced_rows(3)
+    if name == "r_induced":
+        return rows
+    return [(triple, subset) for triple, row in rows
+            for size in range(1, len(row) + 1)
+            for subset in itertools.combinations(row, size)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(3, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))),
+    st.sampled_from([("r_induced", Relation.GE), ("r_tilde", Relation.EQ)]))
+def test_single_edge_copies_change_no_optimum_or_witness(graph, lp):
+    g = Graph(*graph)
+    name, relation = lp
+    full = _full_members(g, name)
+    want = packing._unit_program(g, full, Sense.MIN, relation)
+    got = packing._unit_program(g, packing._single_edges_once(full), Sense.MIN, relation)
+    assert got[0] == want[0]
+    assert list(got[1].weights.items()) == list(want[1].weights.items())
+    assert getattr(packing, name)(g) == got
 
 
 def test_r_tilde_builds_descriptors_only_for_the_witness(monkeypatch):
@@ -557,3 +627,34 @@ def test_r_tilde_builds_descriptors_only_for_the_witness(monkeypatch):
     _, witness = r_tilde(Graph.complete(8))
     assert witness.weights
     assert len(built) <= len(witness.weights)
+
+
+# The digest of every packing value and witness over the oracle corpus
+# (n <= 8), then of every weight-LP value and witness of every class for
+# n <= 6 at every k.  A change that keeps every witness keeps it.
+PINNED_WITNESS_DIGEST = "e421dbb924a1532168dae96062f4306266f90f0b63e6b27005d12e06a8023a67"
+
+
+def _witness_digest() -> str:
+    digest = hashlib.sha256()
+    for g in _oracle_corpus():
+        if g.n > 8:
+            continue
+        for stat in (tau_star, r_induced, r_tilde):
+            value, witness = stat(g)
+            digest.update(f"{stat.__name__} {g.n} {g.mask} {value}\n".encode())
+            for d, w in witness.weights.items():
+                digest.update(f"{d.vertices} {d.edges} {w}\n".encode())
+    for n in range(3, 7):
+        for c in enumerate_colorings(n):
+            for k in range(3, n + 1):
+                value, weights = r_of_coloring(c, k)
+                digest.update(f"r {n} {c.red.mask} {k} {value}\n".encode())
+                for e, w in weights.weights.items():
+                    if w:
+                        digest.update(f"{e} {w}\n".encode())
+    return digest.hexdigest()
+
+
+def test_witnesses_match_pinned_digest():
+    assert _witness_digest() == PINNED_WITNESS_DIGEST
