@@ -2,14 +2,21 @@
 
 The lower-bound side combines exact Turán numbers with tabled upper bounds
 on diagonal Ramsey numbers into a density coefficient c(k); 1/c(k) bounds
-the limit from below.  Each gap term is one integer pair (numerator,
-denominator), and c(k) is summed over one unreduced integer fraction and
-reduced once.  The upper-bound side is constructive: two explicit
-colored weightings whose feasibility this module verifies over every
-k-subset, in integers: the weights are scaled to numerators over one
-common denominator, twin vertices are grouped into classes, and the red
-and blue loads are built up pick by pick along a depth-first walk over how
-many vertices a subset takes from each class.  Both constructions have
+the limit from below.  The bracket is computed in integer pairs
+(numerator, denominator) and becomes a ``Fraction`` only when a caller
+asks for one.  Each gap term is one pair; ``_bracket`` sums c(k) over one
+unreduced integer fraction, reduces it with one gcd, and returns c(k),
+L(k) = 1/c(k) and U(k) as reduced pairs, after checking L(k) * c(k) = 1
+and U(k) >= L(k) by cross-multiplication.  ``density_coefficient``,
+``wram_lower_bound``, ``bounds_report`` and the CLI's ck and lk tables
+all read it; only ``bounds_report`` builds the per-i ``Fraction`` rows.
+
+The upper-bound side is constructive: two explicit colored weightings
+whose feasibility this module verifies over every k-subset, in integers:
+the weights are scaled to numerators over one common denominator, twin
+vertices are grouped into classes, and the red and blue loads are built
+up pick by pick along a depth-first walk over how many vertices a subset
+takes from each class.  Both constructions have
 few classes (2 and 5): the blow-up at n = 16, k = 6 has 145 count vectors
 for its 8008 6-subsets.
 
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import CertificateError, InputError
 from .graphs import (
@@ -37,6 +44,8 @@ from .graphs import (
 from .weighted_ramsey import WeightAssignment
 
 _RAMSEY_UPPER = {3: 5, 4: 17, 5: 48, 6: 164, 7: 539, 8: 1869}
+
+_Pair = tuple[int, int]
 
 
 def diagonal_ramsey_upper(i: int) -> int:
@@ -74,11 +83,26 @@ def turan_ratio_gap_lower(k: int, i: int) -> Fraction:
     return Fraction(*_gap_closed_form(k, i))
 
 
-def _density(k: int) -> tuple[Fraction, tuple[tuple[int, Fraction, int], ...]]:
-    """c(k) and its per-i terms (i, gap, tabled Ramsey bound).
+def _upper_pair(k: int) -> _Pair:
+    """U(k) as a reduced integer pair: 24/5 at k=4, else 5*floor(k^2/4)/4."""
+    if k < 4:
+        raise InputError(f"upper bound defined for k >= 4, got {k}")
+    if k == 4:
+        return 24, 5
+    num = 5 * (k * k // 4)
+    g = gcd(num, 4)
+    return num // g, 4 // g
 
-    The sum of gap/R over the terms is kept as one unreduced integer
-    fraction p/q, so c(k) = (1 - p/q)/t(k,2) is reduced once.
+
+def _bracket(k: int) -> tuple[_Pair, _Pair, _Pair, list[tuple[int, int, int, int]]]:
+    """c(k), L(k) = 1/c(k) and U(k) as reduced integer pairs, with the
+    per-i terms (i, gap numerator, gap denominator, tabled Ramsey bound).
+
+    Exact table gaps drive k <= 8; the closed-form lower bound on the gap
+    takes over from k = 9 on.  The sum of gap/R over the terms is kept as
+    one unreduced integer fraction p/q, so c(k) = (1 - p/q)/t(k,2) is
+    reduced with one gcd.  L(k) * c(k) = 1 and U(k) >= L(k) are checked by
+    cross-multiplication; either failing is a CertificateError.
     """
     if k < 4:
         raise InputError(f"density coefficient defined for k >= 4, got {k}")
@@ -88,32 +112,33 @@ def _density(k: int) -> tuple[Fraction, tuple[tuple[int, Fraction, int], ...]]:
     for i in range(3, min(k, 8) + 1):
         num, den = gap(k, i)
         ramsey = _RAMSEY_UPPER[i]
-        terms.append((i, Fraction(num, den), ramsey))
+        terms.append((i, num, den, ramsey))
         p, q = p * den * ramsey + num * q, q * den * ramsey
-    return Fraction(q - p, q * turan_number(k, 2)), tuple(terms)
+    c_num, c_den = q - p, q * turan_number(k, 2)
+    g = gcd(c_num, c_den)
+    c = c_num // g, c_den // g
+    lower = c[1], c[0]
+    upper = _upper_pair(k)
+    if lower[0] * c[0] != lower[1] * c[1]:
+        raise CertificateError("lower bound must be the reciprocal of c(k)")
+    if upper[0] * lower[1] < lower[0] * upper[1]:
+        raise CertificateError("upper bound fell below lower bound")
+    return c, lower, upper, terms
 
 
 def density_coefficient(k: int) -> Fraction:
-    """c(k): r(n,k) stays below (1+o(1)) * C(n,2) * c(k).
-
-    Exact table gaps drive k <= 8; the closed-form lower bound on the gap
-    takes over from k = 9 on.
-    """
-    return _density(k)[0]
+    """c(k): r(n,k) stays below (1+o(1)) * C(n,2) * c(k)."""
+    return Fraction(*_bracket(k)[0])
 
 
 def wram_lower_bound(k: int) -> Fraction:
     """1/c(k): the computable lower bound on the weighted Ramsey limit."""
-    return 1 / density_coefficient(k)
+    return Fraction(*_bracket(k)[1])
 
 
 def wram_upper_bound(k: int) -> Fraction:
     """Constructive upper bound: 24/5 at k=4, else 1.25 * floor(k^2/4)."""
-    if k < 4:
-        raise InputError(f"upper bound defined for k >= 4, got {k}")
-    if k == 4:
-        return Fraction(24, 5)
-    return Fraction(5 * (k * k // 4), 4)
+    return Fraction(*_upper_pair(k))
 
 
 def density_coefficient_tail(k: int) -> Fraction:
@@ -168,13 +193,13 @@ class BoundsReport:
 
 def bounds_report(k: int) -> BoundsReport:
     """Bracket [1/c(k), U(k)] with the per-i terms that produced c(k)."""
-    c_k, rows = _density(k)
+    c, lower, upper, terms = _bracket(k)
     return BoundsReport(
         k=k,
-        c_k=c_k,
-        lower_bound=1 / c_k,
-        upper_bound=wram_upper_bound(k),
-        table_rows=rows,
+        c_k=Fraction(*c),
+        lower_bound=Fraction(*lower),
+        upper_bound=Fraction(*upper),
+        table_rows=tuple((i, Fraction(num, den), r) for i, num, den, r in terms),
     )
 
 
@@ -331,12 +356,9 @@ def construction_k4(n: int) -> tuple[TwoColoring, WeightAssignment, Fraction]:
     half = n // 2
     red_edges = [(u, v) for u in range(half) for v in range(half, n)]
     coloring = TwoColoring.from_red_edges(n, red_edges)
+    red, blue, mask = Fraction(1, 4), Fraction(1, 6), coloring.red.mask
     weights = WeightAssignment(
-        n,
-        {
-            (u, v): Fraction(1, 4) if coloring.red.has_edge(u, v) else Fraction(1, 6)
-            for u, v in all_edges(n)
-        },
+        n, {e: red if mask >> i & 1 else blue for i, e in enumerate(all_edges(n))}
     )
     return _certified("bipartite", coloring, 4, weights, bipartite_total_weight(n))
 
@@ -367,12 +389,8 @@ def construction_blowup(
         raise InputError(f"need n >= max(5, k) = {max(5, k)}, got {n}")
     coloring = balanced_blowup(mono_triangle_free_k5(), n)
     part_of = blowup_part_of(5, n)
-    unit = Fraction(1, k * k // 4)
+    unit, zero = Fraction(1, k * k // 4), Fraction(0)
     weights = WeightAssignment(
-        n,
-        {
-            (u, v): unit if part_of[u] != part_of[v] else Fraction(0)
-            for u, v in all_edges(n)
-        },
+        n, {(u, v): unit if part_of[u] != part_of[v] else zero for u, v in all_edges(n)}
     )
     return _certified("blow-up", coloring, k, weights, blowup_total_weight(n, k))

@@ -15,13 +15,13 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 
 from .bounds import (
-    bounds_report,
+    _bracket,
+    _gap_exact,
     construction_blowup,
     construction_k4,
-    density_coefficient,
-    turan_ratio_gap,
     wram_upper_bound,
 )
 from .errors import (
@@ -46,6 +46,16 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _pair_decimal(num: int, den: int) -> str:
+    """num/den, den > 0, to six places by integer division, round-half-even."""
+    sign = "-" if num < 0 else ""
+    scaled, rest = divmod(abs(num) * 10**6, den)
+    if 2 * rest > den or 2 * rest == den and scaled & 1:
+        scaled += 1
+    whole, frac = divmod(scaled, 10**6)
+    return f"{sign}{whole}.{frac:06d}"
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -56,12 +66,7 @@ def parse_rational(text: str) -> Fraction:
 def format_decimal(x: Fraction) -> str:
     """Exact six-place rendering by integer division, round-half-even,
     platform independent."""
-    sign = "-" if x < 0 else ""
-    scaled, rest = divmod(abs(x.numerator) * 10**6, x.denominator)
-    if 2 * rest > x.denominator or 2 * rest == x.denominator and scaled & 1:
-        scaled += 1
-    whole, frac = divmod(scaled, 10**6)
-    return f"{sign}{whole}.{frac:06d}"
+    return _pair_decimal(x.numerator, x.denominator)
 
 
 def format_subgraph_weights(sw: SubgraphWeights) -> str:
@@ -201,8 +206,8 @@ def _cmd_packing(args) -> RunReport:
 
 
 # Largest kmax of every bounds table.  At kmax 1000, cold on a 2-core
-# machine, alpha, the costliest, takes 2.2 s and 51 MB (turan 0.3 s, ck and
-# lk 0.07 s).
+# machine with interpreter start-up, alpha, the costliest, takes 2.2-2.5 s
+# and 51 MB (turan 0.5 s, ck 0.14 s, lk 0.10 s).
 _KMAX_CAP = 1000
 
 
@@ -219,21 +224,22 @@ def _bounds_lines(table: str, kmax: int):
         yield "k,i,alpha,alpha_decimal\n"
         for k in range(3, kmax + 1):
             for i in range(3, k + 1):
-                gap = turan_ratio_gap(k, i)
-                yield f"{k},{i},{format_rational(gap)},{format_decimal(gap)}\n"
+                num, den = _gap_exact(k, i)
+                g = gcd(num, den)
+                num, den = num // g, den // g
+                yield f"{k},{i},{num}/{den},{_pair_decimal(num, den)}\n"
     elif table == "ck":
         yield "k,c_k,c_k_decimal\n"
         for k in range(4, kmax + 1):
-            ck = density_coefficient(k)
-            yield f"{k},{format_rational(ck)},{format_decimal(ck)}\n"
+            (c_num, c_den), _, _, _ = _bracket(k)
+            yield f"{k},{c_num}/{c_den},{_pair_decimal(c_num, c_den)}\n"
     elif table == "lk":
         yield "k,c_k,L_k,U_k,L_k_decimal,U_k_decimal\n"
         for k in range(4, kmax + 1):
-            rep = bounds_report(k)
+            (c_num, c_den), (l_num, l_den), (u_num, u_den), _ = _bracket(k)
             yield (
-                f"{k},{format_rational(rep.c_k)},{format_rational(rep.lower_bound)},"
-                f"{format_rational(rep.upper_bound)},{format_decimal(rep.lower_bound)},"
-                f"{format_decimal(rep.upper_bound)}\n"
+                f"{k},{c_num}/{c_den},{l_num}/{l_den},{u_num}/{u_den},"
+                f"{_pair_decimal(l_num, l_den)},{_pair_decimal(u_num, u_den)}\n"
             )
     else:
         raise InputError(f"unknown table {table!r}")

@@ -99,16 +99,21 @@ class SubgraphWeights:
     weights: dict[SubgraphDescriptor, Fraction]
 
     def __post_init__(self):
+        # A weight that is already a Fraction is kept as given.  Each edge
+        # (u, v), u < v inside the checked triple, is read from the mask at
+        # its K_n index.
         cleaned = {}
+        n, mask = self.graph.n, self.graph.mask
         for desc, w in self.weights.items():
-            w = Fraction(w)
-            if w < 0:
+            if not isinstance(w, Fraction):
+                w = Fraction(w)
+            if w.numerator < 0:
                 raise InputError(f"negative weight on {desc}")
             lo, _, hi = desc.vertices
-            if lo < 0 or hi >= self.graph.n:
+            if lo < 0 or hi >= n:
                 raise InputError(f"{desc} does not live on the base graph")
             for u, v in desc.edges:
-                if not self.graph.has_edge(u, v):
+                if not mask >> (u * (2 * n - u - 1) // 2 + v - u - 1) & 1:
                     raise InputError(f"{desc} uses non-edge ({u}, {v})")
             if w:
                 cleaned[desc] = w

@@ -57,6 +57,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import CapabilityError, CertificateError, ContractViolationError, InputError
 from .exactnum import Relation, Sense, solve_unit_program
@@ -77,14 +78,17 @@ class WeightAssignment:
     weights: dict[tuple[int, int], Fraction]
 
     def __post_init__(self):
+        # A weight that is already a Fraction is kept as given.
         full = dict.fromkeys(all_edges(self.n), Fraction(0))
         for (u, v), w in self.weights.items():
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key not in full:
                 raise InputError(f"weight on non-edge ({u}, {v})")
-            if w < 0:
+            if not isinstance(w, Fraction):
+                w = Fraction(w)
+            if w.numerator < 0:
                 raise InputError(f"negative weight on ({u}, {v})")
-            full[key] = Fraction(w)
+            full[key] = w
         object.__setattr__(self, "weights", full)
 
     def __getitem__(self, edge: tuple[int, int]) -> Fraction:
@@ -92,7 +96,10 @@ class WeightAssignment:
         return self.weights[(min(u, v), max(u, v))]
 
     def total(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+        """The sum of the weights: numerators over one common denominator."""
+        ws = self.weights.values()
+        den = lcm(*{w.denominator for w in ws})
+        return Fraction(sum(w.numerator * (den // w.denominator) for w in ws), den)
 
     def scaled(self, factor: Fraction) -> "WeightAssignment":
         if factor < 0:

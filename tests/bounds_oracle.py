@@ -4,8 +4,9 @@
 over one unreduced integer fraction, reduced once at the end.  The
 functions here build the same quantities step by step from ``Fraction``
 operations, as the formulas read: the gap as a difference of two ratios,
-the closed form as a lead factor times a difference of two fractions, and
-c(k) as 1 minus a running ``Fraction`` sum, divided by t(k,2).  Both must
+the closed form as a lead factor times a difference of two fractions,
+c(k) as 1 minus a running ``Fraction`` sum, divided by t(k,2), and U(k)
+as a ``Fraction`` product.  Both must
 agree exactly, term by term.
 """
 
@@ -36,6 +37,11 @@ def density(k: int) -> tuple[Fraction, tuple[tuple[int, Fraction, int], ...]]:
     rows = tuple((i, term(k, i), RAMSEY_UPPER[i]) for i in range(3, min(k, 8) + 1))
     acc = 1 - sum(g / ramsey for _, g, ramsey in rows)
     return acc / turan_number(k, 2), rows
+
+
+def upper(k: int) -> Fraction:
+    """The constructive upper bound U(k): 24/5 at k = 4, else 1.25 floor(k^2/4)."""
+    return Fraction(24, 5) if k == 4 else Fraction(5, 4) * (k * k // 4)
 
 
 def format_decimal(x: Fraction, places: int = 6) -> str:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,23 @@ def test_density_matches_the_fraction_oracle():
         c_k, rows = bounds_oracle.density(k)
         assert density_coefficient(k) == c_k
         assert bounds_report(k).table_rows == rows
+
+
+def test_bracket_pairs_are_reduced_and_match_the_fraction_oracle():
+    for k in range(4, 301):
+        c, lower, upper, _ = bounds._bracket(k)
+        for num, den in (c, lower, upper):
+            assert den > 0 and gcd(num, den) == 1
+        assert F(*c) == bounds_oracle.density(k)[0]
+        assert F(*lower) == 1 / F(*c) == wram_lower_bound(k)
+        assert F(*upper) == bounds_oracle.upper(k) == wram_upper_bound(k)
+
+
+def test_inverted_bracket_is_a_certificate_error(monkeypatch):
+    monkeypatch.setattr(bounds, "_upper_pair", lambda k: (1, 1))
+    for call in (bounds_report, density_coefficient, wram_lower_bound):
+        with pytest.raises(CertificateError, match="upper bound fell below lower bound"):
+            call(9)
 
 
 def test_upper_bound_values():

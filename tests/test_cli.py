@@ -304,6 +304,41 @@ def test_bounds_lk_dominates_published(capsys):
             assert parse_rational(parts[2]) >= published[k]
 
 
+def _table_rows(out: str) -> list[list[str]]:
+    return [line.split(",") for line in out.splitlines() if line and line[0].isdigit()]
+
+
+def test_bounds_ck_and_lk_rows_match_the_fraction_oracle(capsys):
+    # Row by row against the Fraction formulas: c(k), L(k) = 1/c(k), U(k)
+    # and the six-place decimals by round.
+    code, ck_out, _ = run_cli(capsys, "--stable", "bounds", "--table", "ck", "--kmax", "100")
+    assert code == 0
+    code, lk_out, _ = run_cli(capsys, "--stable", "bounds", "--table", "lk", "--kmax", "100")
+    assert code == 0
+    ck_rows, lk_rows = _table_rows(ck_out), _table_rows(lk_out)
+    assert [int(row[0]) for row in ck_rows] == [int(row[0]) for row in lk_rows] == list(range(4, 101))
+    for ck_row, lk_row in zip(ck_rows, lk_rows):
+        k = int(ck_row[0])
+        c_k = bounds_oracle.density(k)[0]
+        lower, upper = 1 / c_k, bounds_oracle.upper(k)
+        assert ck_row[1:] == [format_rational(c_k), bounds_oracle.format_decimal(c_k)]
+        assert lk_row[1:] == [
+            format_rational(c_k), format_rational(lower), format_rational(upper),
+            bounds_oracle.format_decimal(lower), bounds_oracle.format_decimal(upper),
+        ]
+
+
+def test_bounds_lk_exits_4_when_the_bracket_inverts(capsys, monkeypatch):
+    # U(k) = 1 lies below every L(k), so the cross-multiplied bracket check
+    # on the CLI path fails on the first row.
+    from wramsey import bounds
+
+    monkeypatch.setattr(bounds, "_upper_pair", lambda k: (1, 1))
+    code, out, err = run_cli(capsys, "--stable", "bounds", "--table", "lk", "--kmax", "10")
+    assert (code, out) == (4, "")
+    assert err == "certificate failure: upper bound fell below lower bound\n"
+
+
 def test_verify_constructions(capsys):
     code, out, _ = run_cli(capsys, "--stable", "verify", "--construction", "k4", "--n", "8")
     assert code == 0

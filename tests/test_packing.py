@@ -516,6 +516,39 @@ def test_subgraph_weights_reject_vertices_off_the_base_graph(vertices):
         SubgraphWeights(Graph(4, 1), {desc: 1})
 
 
+def test_subgraph_weights_validation_messages():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    tri = SubgraphDescriptor((0, 1, 2), ((0, 1), (0, 2), (1, 2)))
+    path = SubgraphDescriptor((1, 2, 3), ((1, 2), (1, 3)))
+    with pytest.raises(InputError, match=r"^.* uses non-edge \(1, 3\)$"):
+        SubgraphWeights(g, {tri: F(1), path: F(1, 2)})
+    for weight in (-1, "-1/2", F(-1, 3)):
+        with pytest.raises(InputError, match="^negative weight on "):
+            SubgraphWeights(g, {tri: weight})
+    # A Fraction is kept as given, other numbers become Fractions, and
+    # zero weights are dropped.
+    half = F(1, 2)
+    lone = SubgraphDescriptor((0, 2, 3), ((2, 3),))
+    sw = SubgraphWeights(g, {tri: half, lone: "1/3", path.without_edges({(1, 3)}): 0})
+    assert sw.weights == {tri: half, lone: F(1, 3)}
+    assert sw.weights[tri] is half
+
+
+def test_subgraph_weights_edge_check_reads_the_mask():
+    # Every single-edge member of every graph on 5 vertices is accepted
+    # exactly when its edge is in the graph.
+    for mask in range(1 << 10):
+        g = Graph(5, mask)
+        for u, v in itertools.combinations(range(5), 2):
+            w = next(x for x in range(5) if x not in (u, v))
+            desc = SubgraphDescriptor((u, v, w), ((u, v),))
+            if g.has_edge(u, v):
+                assert SubgraphWeights(g, {desc: 1}).weights == {desc: 1}
+            else:
+                with pytest.raises(InputError, match="uses non-edge"):
+                    SubgraphWeights(g, {desc: 1})
+
+
 # -- the descriptor-based oracle --------------------------------------------
 
 def _oracle_corpus() -> list[Graph]:

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wramsey import weighted_ramsey
 from wramsey.errors import (
@@ -324,6 +326,42 @@ def test_weight_assignment_validation():
     w = WeightAssignment(4, {(0, 1): F(1, 2)})
     assert w.total() == F(1, 2)
     assert w[(2, 3)] == 0
+
+
+# A weight as a caller may give it: an int, a Fraction, or a Fraction's str.
+_WEIGHT_INPUT = st.one_of(
+    st.integers(0, 5),
+    st.fractions(min_value=0, max_value=5, max_denominator=60),
+    st.fractions(min_value=0, max_value=5, max_denominator=60).map(str),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(3, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_WEIGHT_INPUT, min_size=0, max_size=n * (n - 1) // 2))
+))
+def test_weight_assignment_total_is_the_fraction_sum(case):
+    n, values = case
+    given_weights = dict(zip(all_edges(n), values))
+    w = WeightAssignment(n, given_weights)
+    assert w.total() == sum(w.weights.values(), F(0)) == sum(map(F, values), F(0))
+    for e, x in given_weights.items():
+        assert w[e] == F(x)
+        if isinstance(x, F):
+            assert w[e] is x
+
+
+@pytest.mark.parametrize("weight", [-1, "-1/3", F(-2, 5)])
+def test_negative_weights_are_rejected_in_every_form(weight):
+    with pytest.raises(InputError, match=r"^negative weight on \(2, 0\)$"):
+        WeightAssignment(4, {(0, 1): 1, (2, 0): weight})
+
+
+@pytest.mark.parametrize("edge", [(0, 4), (4, 0), (1, 1), (-1, 2)])
+def test_non_edges_are_rejected_before_the_sign(edge):
+    u, v = edge
+    with pytest.raises(InputError, match=rf"^weight on non-edge \({u}, {v}\)$"):
+        WeightAssignment(4, {edge: -1})
 
 
 def test_inconsistent_wram_result_is_a_certificate_failure():
