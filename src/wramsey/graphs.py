@@ -13,9 +13,19 @@ mask on n vertices is a minimal (n-1)-vertex parent shifted up, plus the
 block x of label 0.  Of a parent's children only x >= b_w << w, for every
 label 1 <= w <= n-2 with block b_w, are searched: swapping labels 0 and w
 keeps every block above w and makes w's block x >> w, so any lower x has
-a lower relabeling.  Each child the search rejects yields a relabeling
-that lowers it, and the later siblings are first tested against these:
-an image below the child proves it is not minimal, with no search.
+a lower relabeling.  Nor is x searched if it holds the bit of b but not
+of a, for twin labels a < b of the parent, whose rows agree apart from
+each other: swapping them keeps the parent and moves that bit down.  Each
+child the search rejects yields a relabeling that lowers it, and the later
+siblings are first tested against these: an image below the child proves
+it is not minimal, with no search.
+
+A child's search starts from its parent's independent sets, computed once
+per parent.  The child's sets are {0} | S for each parent set S off
+label 0's neighbours, and the parent's own.  An independent set of the
+parent's largest size alpha on its top labels would zero their top
+alpha - 1 blocks, so the minimal parent has them zero already, and so has
+the child: its search cannot stop early before its sets outgrow alpha.
 """
 
 from __future__ import annotations
@@ -191,23 +201,49 @@ def _canonical_mask(n: int, mask: int, stop_early: bool = False):
     label of each vertex), or None if ``mask`` is minimal.  Only then does
     it keep the labels of the placed vertices.
     """
-    everyone = (1 << n) - 1
+    orientations = _orientations(n, _red_rows(n, mask))
+    # While the placed vertices are pairwise non-adjacent, every order of
+    # them gives all-zero blocks, so the top labels go to an independent set
+    # kept as one unordered cell: the s-sets take labels n-s..n-1.
+    levels = _independent_levels(n, orientations)
+    if stop_early:
+        for s in range(1, len(levels)):
+            if mask >> ((n - s) * (n + s - 1) // 2):
+                side, cell, _ = levels[s][0]
+                return side, _labeling(n, _spread(n - s, cell))
+    level = [(side, cell) for side, cell, _ in levels[-1]]
+    return _label_search(n, mask, orientations, n + 1 - len(levels), level, stop_early)
+
+
+def _red_rows(n: int, mask: int) -> list[int]:
+    """Each vertex's red neighbours, as a bitmask."""
     red = [0] * n
     for i, (u, v) in enumerate(all_edges(n)):
         if mask >> i & 1:
             red[u] |= 1 << v
             red[v] |= 1 << u
-    orientations = (red, [everyone ^ (1 << v) ^ red[v] for v in range(n)])
+    return red
 
-    # While the placed vertices are pairwise non-adjacent, every order of
-    # them gives all-zero blocks, so the top labels go to an independent set
-    # kept as one unordered cell.  A set only grows by vertices above its
-    # largest, so each is reached once; the last level holds the largest.
-    level = [(0, 0, 0), (1, 0, 0)]  # (orientation, cell, cell | neighbours)
-    j = n  # the cell holds labels j..n-1
+
+def _orientations(n: int, red: list[int]) -> tuple[list[int], list[int]]:
+    """The red rows and the blue rows of the complement, in that order."""
+    everyone = (1 << n) - 1
+    return red, [everyone ^ (1 << v) ^ row for v, row in enumerate(red)]
+
+
+def _independent_levels(n: int, orientations) -> list[list[tuple[int, int, int]]]:
+    """The independent sets of every size s = 0, 1, ..., in both orientations.
+
+    Level s holds (orientation, set, set | its neighbours) for each s-set,
+    in lexicographic (orientation, vertices) order.  A set only grows by
+    vertices above its largest, so each is reached once; the last level
+    holds the largest.
+    """
+    everyone = (1 << n) - 1
+    levels = [[(0, 0, 0), (1, 0, 0)]]
     while True:
         grown = []
-        for side, cell, closed in level:
+        for side, cell, closed in levels[-1]:
             rows = orientations[side]
             top = cell.bit_length()
             free = everyone >> top << top & ~closed
@@ -216,13 +252,13 @@ def _canonical_mask(n: int, mask: int, stop_early: bool = False):
                 free ^= bit
                 grown.append((side, cell | bit, closed | bit | rows[bit.bit_length() - 1]))
         if not grown:
-            break
-        level = grown
-        j -= 1
-        if stop_early and mask >> (j * (2 * n - j - 1) // 2):
-            side, cell, _ = level[0]
-            return side, _labeling(n, _spread(j, cell))
+            return levels
+        levels.append(grown)
 
+
+def _label_search(n: int, mask: int, orientations, j: int, level, stop_early: bool):
+    """The labels j-1 down to 0 of ``_canonical_mask``, once the sets of
+    ``level``, (orientation, set) pairs, have taken labels j..n-1."""
     # A state is (orientation, codes, cells).  codes[v] is -1 once v is
     # placed, else the bits of the singly placed labels adjacent to v.  A
     # cell (lowest label, members) is a run of labels whose order among its
@@ -232,7 +268,7 @@ def _canonical_mask(n: int, mask: int, stop_early: bool = False):
     # of its singly placed vertices, from the first labeling that reached it.
     states = {
         (side, tuple(-(cell >> v & 1) for v in range(n)), ((j, cell),))
-        for side, cell, _ in level
+        for side, cell in level
     }
     placed = dict.fromkeys(states, ()) if stop_early else None
     prefix = 0
@@ -341,6 +377,9 @@ def _class_masks(n: int) -> tuple[int, ...]:
     the n-1 bits x of label 0.  Only x >= ``_first_child(n, base)`` is
     searched: swapping labels 0 and w keeps every block above w and makes
     w's block, b_w in ``base``, into x >> w, so x < b_w << w is not minimal.
+    Nor is x with the bit of b but not of a, for twin labels a < b of the
+    parent (rows that agree apart from each other): swapping them keeps
+    ``base`` and moves that bit of x down to a.
 
     Each rejected child's search returns a relabeling that lowers it, and
     every later sibling is tested against those relabelings first: siblings
@@ -348,25 +387,89 @@ def _class_masks(n: int) -> tuple[int, ...]:
     table lookup on x.  An image below base | x proves that it is not
     minimal; every mask kept still passes the full search, so the masks and
     their order are those of the search alone.
+
+    That search (``_child_relabeling``) takes its first phase, the
+    independent sets, from the parent's.  The child's s-sets in one
+    orientation are {0} | S for each parent (s-1)-set S that avoids label
+    0's neighbours, and the parent's s-sets.  The parent's largest sets
+    have some size alpha, and one of them on the top labels would make the
+    top alpha - 1 blocks zero; the parent is minimal, so its own are zero,
+    and they are the child's top alpha - 1 blocks.  So no level up to alpha
+    stops the child's search, and only {0} | S, S an alpha-set, can be
+    larger.
     """
     if n == 2:
         return (0,)
     masks = []
     for top in _class_masks(n - 1):
         base = top << (n - 1)
+        parent = _parent_sets(n, top)
+        twins = _twin_pairs(n - 1, parent[0])
         lowering = []  # (fixed image, image of each x, x's flip)
         for x in range(_first_child(n, base), 1 << (n - 1)):
+            if twins and any(x & pair == bit for pair, bit in twins):
+                continue
             mask = base | x
             for fixed, image, flip in lowering:
                 if fixed | image[x ^ flip] < mask:
                     break
             else:
-                relabeling = _canonical_mask(n, mask, stop_early=True)
+                relabeling = _child_relabeling(n, mask, *parent)
                 if relabeling is None:
                     masks.append(mask)
                 else:
                     lowering.append(_sibling_images(n, base, *relabeling))
     return tuple(masks)
+
+
+def _twin_pairs(n: int, red: list[int]) -> list[tuple[int, int]]:
+    """Each pair of labels a < b whose ``red`` rows agree apart from each
+    other, as (bits of a and b, bit of b)."""
+    return [
+        (1 << a | 1 << b, 1 << b)
+        for a, b in itertools.combinations(range(n), 2)
+        if not (red[a] ^ red[b]) & ~(1 << a | 1 << b)
+    ]
+
+
+def _parent_sets(n: int, top: int):
+    """What every child of the minimal (n-1)-vertex mask ``top`` shares: its
+    red rows, its largest independent-set size alpha over both orientations,
+    and its sets of sizes alpha - 1 and alpha, as child vertices 1..n-1,
+    one list per orientation."""
+    red = _red_rows(n - 1, top)
+    levels = _independent_levels(n - 1, _orientations(n - 1, red))
+
+    def by_side(level):
+        return tuple([cell << 1 for side, cell, _ in level if side == s] for s in (0, 1))
+
+    return red, len(levels) - 1, by_side(levels[-2]), by_side(levels[-1])
+
+
+def _child_relabeling(n: int, mask: int, red: list[int], alpha: int, below, last):
+    """``_canonical_mask(n, mask, stop_early=True)`` for a child ``mask`` of
+    the parent that ``_parent_sets`` describes (see ``_class_masks``).  Each
+    level lists {0} | S before the parent's sets, the order of
+    ``_independent_levels``."""
+    x = mask & ((1 << (n - 1)) - 1)
+    child = [x << 1, *(row << 1 | x >> u & 1 for u, row in enumerate(red))]
+    orientations = _orientations(n, child)
+    near = orientations[0][0], orientations[1][0]  # label 0's neighbours
+    j = n - 1 - alpha
+    level = [
+        (side, cell | 1) for side in (0, 1) for cell in last[side] if not cell & near[side]
+    ]
+    if not level:
+        j += 1
+        level = [
+            (side, cell)
+            for side in (0, 1)
+            for cell in [*(c | 1 for c in below[side] if not c & near[side]), *last[side]]
+        ]
+    elif mask >> (j * (2 * n - j - 1) // 2):
+        side, cell = level[0]
+        return side, _labeling(n, _spread(j, cell))
+    return _label_search(n, mask, orientations, j, level, True)
 
 
 def _sibling_images(n: int, base: int, side: int, label) -> tuple[int, list[int], int]:

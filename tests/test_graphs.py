@@ -414,24 +414,71 @@ def test_class_masks_match_the_unbounded_search():
         assert graphs._class_masks(n) == masks
 
 
-def _skipped_children(n: int):
-    """Per parent, the children on n vertices that ``_first_child`` skips."""
-    for top in graphs._class_masks(n - 1):
-        base = top << (n - 1)
-        yield range(base, base | graphs._first_child(n, base))
+def _below_first_child(n: int, top: int) -> range:
+    base = top << (n - 1)
+    return range(base, base | graphs._first_child(n, base))
+
+
+def _lowered_by_twins(n: int, top: int) -> list[int]:
+    twins = graphs._twin_pairs(n - 1, graphs._parent_sets(n, top)[0])
+    return [
+        top << (n - 1) | x
+        for x in range(1 << (n - 1))
+        if any(x & pair == bit for pair, bit in twins)
+    ]
+
+
+def _skipped_children(n: int, rule) -> list:
+    """Per parent, the children on n vertices that ``rule`` skips."""
+    return [rule(n, top) for top in graphs._class_masks(n - 1)]
 
 
 def test_first_child_skips_only_non_minimal_masks():
-    for n in (3, 4, 5, 6):
-        for skipped in _skipped_children(n):
-            for mask in skipped:
-                assert _brute_force_min_mask(n, mask) < mask
+    # So does the twin rule: swapping twin labels a < b of the parent keeps
+    # the parent and moves x's bit b down to a.
     rng = random.Random(14)
-    for n in (7, 8):
-        skipped = [r for r in _skipped_children(n) if r]
-        for _ in range(300):
+    for rule in (_below_first_child, _lowered_by_twins):
+        for n in (3, 4, 5, 6):
+            for skipped in _skipped_children(n, rule):
+                for mask in skipped:
+                    assert _brute_force_min_mask(n, mask) < mask
+        for skipped in _skipped_children(7, rule):
+            for mask in skipped:
+                assert graphs._canonical_mask(7, mask) < mask
+        skipped = [r for r in _skipped_children(8, rule) if r]
+        for _ in range(1000):
             mask = rng.choice(rng.choice(skipped))
-            assert graphs._canonical_mask(n, mask) < mask
+            assert graphs._canonical_mask(8, mask) < mask
+
+
+def test_child_search_matches_the_full_search():
+    # Both the answer and the relabeling behind a rejection: every child of
+    # every class mask up to n = 7, and six per parent at n = 8.
+    rng = random.Random(28)
+    for n in range(3, 9):
+        for top in graphs._class_masks(n - 1):
+            parent = graphs._parent_sets(n, top)
+            xs = range(1 << (n - 1)) if n < 8 else rng.sample(range(1 << (n - 1)), 6)
+            for x in xs:
+                mask = top << (n - 1) | x
+                assert (graphs._child_relabeling(n, mask, *parent)
+                        == graphs._canonical_mask(n, mask, stop_early=True)), (n, mask)
+
+
+def test_orderly_generation_searches_per_level(monkeypatch):
+    # Pinned so that a lost pruning rule shows: the sibling images, the
+    # first child and the twin pairs leave these children to search.
+    searched = []
+    child_relabeling = graphs._child_relabeling
+
+    def counting(n, *args):
+        searched.append(n)
+        return child_relabeling(n, *args)
+
+    monkeypatch.setattr(graphs, "_child_relabeling", counting)
+    graphs._class_masks.cache_clear()
+    assert len(graphs._class_masks(8)) == 6178
+    assert [searched.count(n) for n in (5, 6, 7, 8)] == [25, 118, 759, 8090]
 
 
 def test_class_counts_match_oeis_with_no_search():
