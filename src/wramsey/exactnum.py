@@ -6,10 +6,13 @@ every arithmetic operation is exact.  Every linear program of the package
 is a unit program: maximize or minimize the sum of nonnegative variables,
 each row holding the sum of some of them ``<=``, ``>=`` or ``=`` 1.  The
 weight LP behind wram(n, k) and the fractional triangle packing and cover
-LPs all have this shape.  ``solve_unit_program`` takes the rows as lists of
-variable indices, solves the program, certifies the solution and returns
-the optimum and primal witness as rationals, which are checked with
-straight equality instead of tolerances.
+LPs all have this shape.  A program is stored by column: for each
+variable, the rows that hold it.  ``solve_unit_program`` takes the rows as
+lists of variable indices, solves the program, certifies the solution and
+returns the optimum and primal witness as rationals, which are checked
+with straight equality instead of tolerances.  The weight LP poses its
+columns directly (``graphs._induced_columns``) and reads the certified
+numerators without any rational.
 
 The solver is a two-phase simplex with Bland's anti-cycling pivot rule.  On
 an OPTIMAL result the solution carries a primal vector and one dual value
@@ -32,12 +35,15 @@ loses the one row whose logical left or entered.  These are exactly the
 numerators d * B^-1 A of the full tableau for the same basis, and Bland's
 rule and the ratio test compare them as the tableau simplex would, so the
 pivot path, and with it every primal and dual witness, is the one the
-rational simplex on the full tableau takes.  Rationals appear only at the
-boundary, when the solution is read off.
+rational simplex on the full tableau takes.
 
-The certificate is recomputed from the rows and the reported solution
-alone, never from the basis, as integer sums: primal rows, both objective
-equalities, dual signs and every reduced cost.
+The solution is read off the final basis as integers over d: the optimum,
+the primal and the duals (``_Solution``).  The certificate decides these
+numerators directly, recomputed from the columns and the reported
+solution alone, never from the basis, as integer sums: primal rows, both
+objective equalities, dual signs and every reduced cost.  Rationals are
+built only where a caller reads them: ``solve_unit_program`` builds the
+optimum and the primal, ``_Solution.rational`` the whole solution.
 """
 
 from __future__ import annotations
@@ -45,9 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapabilityError, CertificateError, InputError
 
@@ -75,18 +80,36 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A solution as rationals: the view the dense oracle also returns."""
+
     status: LpStatus
     optimum: Fraction | None = None
     primal: tuple[Fraction, ...] = ()
     dual: tuple[Fraction, ...] = ()
 
 
-def _numerators(values) -> tuple[int, list[int]]:
-    """One positive common denominator of rationals and their numerators over it."""
-    den = lcm(*[v.denominator for v in values])
-    if den == 1:
-        return 1, [v.numerator for v in values]
-    return den, [v.numerator * (den // v.denominator) for v in values]
+class _Solution(NamedTuple):
+    """A solution as integer numerators over one positive denominator d.
+
+    On OPTIMAL, ``optimum`` is d times the optimum, ``primal`` d times each
+    variable and ``dual`` d times each row's dual, read off the final basis.
+    """
+
+    status: LpStatus
+    d: int = 1
+    optimum: int = 0
+    primal: Sequence[int] = ()
+    dual: Sequence[int] = ()
+
+    def rational(self) -> LpSolution:
+        if self.status is not LpStatus.OPTIMAL:
+            return LpSolution(self.status)
+        d = self.d
+        return LpSolution(
+            self.status, Fraction(self.optimum, d),
+            tuple(Fraction(v, d) if v else _ZERO for v in self.primal),
+            tuple(Fraction(v, d) if v else _ZERO for v in self.dual),
+        )
 
 
 class _Program(NamedTuple):
@@ -403,7 +426,7 @@ def _run_simplex(kern: _Kernel, c: int, pi: list[int]) -> list[int] | None:
     raise CapabilityError(f"simplex exceeded the pivot limit of {_MAX_PIVOTS}")
 
 
-def _solve(prog: _Program) -> LpSolution:
+def _solve(prog: _Program) -> _Solution:
     """Two-phase simplex on a unit program."""
     crow, m, relation, maximize = prog
     n = len(crow)
@@ -440,7 +463,7 @@ def _solve(prog: _Program) -> LpSolution:
         pi[m] = -len(art_rows)
         pi = _run_simplex(kern, 0, pi)
         if pi[m]:
-            return LpSolution(status=LpStatus.INFEASIBLE)
+            return _Solution(LpStatus.INFEASIBLE)
         # Drive leftover artificials out of the basis where possible; a row
         # with no eligible pivot is redundant and stays inert at zero.
         for i in art_rows:
@@ -458,79 +481,77 @@ def _solve(prog: _Program) -> LpSolution:
     cost = 1 if maximize else -1
     pi = _run_simplex(kern, cost, kern.duals(cost))
     if pi is None:
-        return LpSolution(status=LpStatus.UNBOUNDED)
+        return _Solution(LpStatus.UNBOUNDED)
 
-    # Back to rationals: the numerators over d.  The simplex maximizes
-    # cost times the sum, so the objective and the duals carry its sign.
-    d = kern.d
-    primal = [_ZERO] * n
+    # The simplex maximizes cost times the sum, so the objective and the
+    # duals carry its sign.
+    primal = [0] * n
     for j, row in zip(kern.cols, kern.inv):
-        if row[0]:
-            primal[j] = Fraction(row[0], d)
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        optimum=Fraction(cost * pi[m], d),
-        primal=tuple(primal),
-        dual=tuple(Fraction(cost * y, d) if y else _ZERO for y in pi[:m]),
-    )
+        primal[j] = row[0]
+    dual = pi[:m] if maximize else [-y for y in pi[:m]]
+    return _Solution(LpStatus.OPTIMAL, kern.d, cost * pi[m], primal, dual)
 
 
-def _certified(prog: _Program, solution: LpSolution) -> bool:
+def _certified(prog: _Program, solution: _Solution) -> bool:
     """Primal feasible, dual feasible, objectives equal, decided in integers.
 
-    x and y become numerators over their common denominators dx and dy, so
-    every comparison is a cross-multiplication.
+    The optimum, x and y are numerators over one denominator d > 0, so
+    every comparison is between integers.
     """
-    if solution.status is not LpStatus.OPTIMAL or solution.optimum is None:
+    if solution.status is not LpStatus.OPTIMAL:
         return False
     crow, m, relation, maximize = prog
-    x = solution.primal
-    y = solution.dual
-    if len(x) != len(crow) or len(y) != m:
+    d, p, xs, ys = solution.d, solution.optimum, solution.primal, solution.dual
+    if d <= 0 or len(xs) != len(crow) or len(ys) != m:
         return False
-    dx, xs = _numerators(x)
-    if any(v < 0 for v in xs):
+    if min(xs, default=0) < 0:
         return False
 
-    # A x against dx, from the columns of the nonzero x_j.
+    # A x against d, from the columns of the nonzero x_j.
     lhs = [0] * m
     for rows, v in zip(crow, xs):
         if v:
             for i in rows:
                 lhs[i] += v
     if relation is Relation.LE:
-        feasible = all(ax <= dx for ax in lhs)
+        feasible = all(ax <= d for ax in lhs)
     elif relation is Relation.GE:
-        feasible = all(ax >= dx for ax in lhs)
+        feasible = all(ax >= d for ax in lhs)
     else:
-        feasible = all(ax == dx for ax in lhs)
+        feasible = all(ax == d for ax in lhs)
     if not feasible:
         return False
 
-    # The sum of x is sum(xs) / dx and the sum of y is sum(ys) / dy,
-    # against p / q.
-    p, q = solution.optimum.numerator, solution.optimum.denominator
-    if sum(xs) * q != p * dx:
-        return False
-    dy, ys = _numerators(y)
-    if sum(ys) * q != p * dy:
+    # The sums of x and of y against the optimum.
+    if sum(xs) != p or sum(ys) != p:
         return False
 
     # y >= 0 on the rows of a max <= or min >= program, y <= 0 on those of
     # a max >= or min <= program.
     if relation is not Relation.EQ:
-        sign = 1 if (relation is Relation.LE) == maximize else -1
-        if any(sign * v < 0 for v in ys):
+        if (relation is Relation.LE) == maximize:
+            if min(ys, default=0) < 0:
+                return False
+        elif max(ys, default=0) > 0:
             return False
 
-    # The reduced costs 1 - A^T y, times dy: A^T y >= 1 for a max program,
+    # The reduced costs 1 - A^T y, times d: A^T y >= 1 for a max program,
     # <= 1 for a min program.
     get = ys.__getitem__
-    for rows in crow:
-        r = dy - sum(map(get, rows))
-        if r > 0 if maximize else r < 0:
-            return False
-    return True
+    loads = [sum(map(get, rows)) for rows in crow]
+    if maximize:
+        return min(loads, default=d) >= d
+    return max(loads, default=d) <= d
+
+
+def _solve_certified(prog: _Program, what: str) -> _Solution:
+    """The optimal solution of a unit program, as numerators over d;
+    raises CertificateError("<what> failed to certify") unless the program
+    is optimal and the certificate check accepts the solution."""
+    solution = _solve(prog)
+    if not _certified(prog, solution):
+        raise CertificateError(f"{what} failed to certify")
+    return solution
 
 
 def solve_unit_program(num_vars: int, rows: Iterable[Iterable[int]], sense: Sense,
@@ -543,8 +564,7 @@ def solve_unit_program(num_vars: int, rows: Iterable[Iterable[int]], sense: Sens
     optimal and the certificate check, recomputed from the rows and the
     reported solution alone, accepts it.
     """
-    prog = _unit_program(num_vars, rows, sense, relation)
-    solution = _solve(prog)
-    if not _certified(prog, solution):
-        raise CertificateError(f"{what} failed to certify")
-    return solution.optimum, solution.primal
+    solution = _solve_certified(_unit_program(num_vars, rows, sense, relation), what)
+    d = solution.d
+    return Fraction(solution.optimum, d), tuple(
+        Fraction(v, d) if v else _ZERO for v in solution.primal)

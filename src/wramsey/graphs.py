@@ -66,6 +66,35 @@ def _subset_pairs(n: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...
     )
 
 
+@lru_cache(maxsize=None)
+def _subset_holders(n: int, k: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The K_n pair mask of each k-subset of range(n), in combinations
+    order, and for each pair the indices of the k-subsets that hold it,
+    ascending."""
+    masks = []
+    holders: list[list[int]] = [[] for _ in range(n * (n - 1) // 2)]
+    for s, (_, pairs) in enumerate(_subset_pairs(n, k)):
+        masks.append(sum(1 << p for p in pairs))
+        for p in pairs:
+            holders[p].append(s)
+    return tuple(masks), tuple(map(tuple, holders))
+
+
+def _induced_columns(n: int, mask: int, k: int) -> tuple[list[list[int]], int]:
+    """``Graph(n, mask).induced_rows(k)`` by column: for each edge, in
+    ``edges()`` order, the numbers of the rows that hold it, and the row
+    count.
+
+    The rows are the k-subsets that hold an edge, numbered in combinations
+    order, so a subset's row number is the count of such subsets before
+    it.
+    """
+    masks, holders = _subset_holders(n, k)
+    row = list(itertools.accumulate(map(bool, map(mask.__and__, masks)), initial=0))
+    get = row.__getitem__
+    return [list(map(get, holders[p])) for p in range(len(holders)) if mask >> p & 1], row[-1]
+
+
 def edges_to_mask(n: int, edges) -> int:
     mask = 0
     for u, v in edges:

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapabilityError, ContractViolationError, InputError
-from .exactnum import Relation, Sense, solve_unit_program
+from .exactnum import Relation, Sense, _solve_certified, solve_unit_program
+from .exactnum import _unit_program as _index_program
 from .graphs import Graph, TwoColoring, enumerate_colorings
 from .weighted_ramsey import _first_extremum
 
@@ -156,11 +157,24 @@ def _require_cap(g: Graph, cap: int, what: str) -> None:
         raise CapabilityError(f"{what} capped at n={cap}")
 
 
+def _triangle_members(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    _require_cap(g, _TAU_STAR_CAP, "fractional triangle packing")
+    return [m for m in g.induced_rows(3) if len(m[1]) == 3]
+
+
 def tau_star(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     """Fractional triangle packing number with an optimal weight witness."""
-    _require_cap(g, _TAU_STAR_CAP, "fractional triangle packing")
-    return _unit_program(g, [m for m in g.induced_rows(3) if len(m[1]) == 3],
-                         Sense.MAX, Relation.LE)
+    return _unit_program(g, _triangle_members(g), Sense.MAX, Relation.LE)
+
+
+def _tau_star_value(g: Graph) -> Fraction:
+    """tau_star(g)'s value alone: no witness is built."""
+    members = _triangle_members(g)
+    if not members:
+        return _ZERO
+    solution = _solve_certified(_index_program(
+        len(members), _member_rows(g, members), Sense.MAX, Relation.LE), "packing LP")
+    return Fraction(solution.optimum, solution.d)
 
 
 # Measured on a 2-core machine: K_10 takes 2 ms and the slowest n = 10 graph
@@ -224,19 +238,22 @@ def tau_integral_family(g: Graph) -> list[tuple[int, int, int]]:
     return [triangles[i][0] for i in sorted(best_sel)]
 
 
+def _member_rows(g: Graph, members) -> list[list[int]]:
+    """One row per edge some member uses: the members that use it, in order."""
+    rows: list[list[int]] = [[] for _ in range(g.edge_count)]
+    for i, (_, member_edges) in enumerate(members):
+        for e in member_edges:
+            rows[e].append(i)
+    return [row for row in rows if row]
+
+
 def _unit_program(g: Graph, members: list[tuple[tuple[int, ...], tuple[int, ...]]],
                   sense: Sense, relation: Relation) -> tuple[Fraction, SubgraphWeights]:
     """Optimize the total member weight; one row per edge some member uses."""
     if not members:
         return _ZERO, SubgraphWeights(g, {})
-    rows: list[list[int]] = [[] for _ in range(g.edge_count)]
-    for i, (_, member_edges) in enumerate(members):
-        for e in member_edges:
-            rows[e].append(i)
     optimum, primal = solve_unit_program(
-        len(members), [row for row in rows if row], sense, relation,
-        "packing LP",
-    )
+        len(members), _member_rows(g, members), sense, relation, "packing LP")
     edges = g.edges()
     return optimum, SubgraphWeights(g, {
         SubgraphDescriptor(triple, tuple(edges[e] for e in member_edges)): w
@@ -513,7 +530,7 @@ def _tau_sum(c: TwoColoring) -> int:
 
 
 def _tau_star_sum(c: TwoColoring) -> Fraction:
-    return tau_star(c.red)[0] + tau_star(c.blue)[0]
+    return _tau_star_value(c.red) + _tau_star_value(c.blue)
 
 
 def coloring_packing_stats(c: TwoColoring) -> ColoringPackingStats:
@@ -527,7 +544,8 @@ def coloring_packing_stats(c: TwoColoring) -> ColoringPackingStats:
 
 
 def tau_min_over_colorings(n: int, fractional: bool) -> tuple[Fraction, TwoColoring]:
-    """Minimum of the packing statistic over one coloring per class."""
+    """Minimum of the packing statistic over one coloring per class; the
+    fractional one reads tau_star values, building no witness."""
     coloring, value = _first_extremum(
         enumerate_colorings(n), _tau_star_sum if fractional else _tau_sum, operator.neg
     )

@@ -13,9 +13,11 @@ same k-set is dominated by it.  No row mixes the colors, so the program is
 block-diagonal and r(c; n, k) = phi_k(R) + phi_k(B), where phi_k(G) is the
 largest total edge weight on G with every G[S], |S| = k, held to at most
 one (for k = 3, the LP dual of ``packing.r_induced``).  Each block is a unit
-program over the edges of its color, in ``Graph.edges()`` order, with the
-rows of ``Graph.induced_rows``, solved and certified by
-``exactnum.solve_unit_program``.
+program over the edges of its color, in ``Graph.edges()`` order, with one
+row per k-set that holds an edge of the color, in combinations order: the
+rows of ``Graph.induced_rows``.  It is posed by column from the color's
+mask (``graphs._induced_columns``, over one table per (n, k)) and solved
+and certified in integers by ``exactnum``.
 
 The witness is the one the joint program over all edges would give.  A
 simplex pivot in one block multiplies the other block's rows and objective
@@ -23,6 +25,11 @@ entries by a positive factor, so their signs, and with them Bland's choices
 there, do not change; each block keeps the relative order of its variables,
 slacks and rows, so Bland's rule on the joint program is Bland's rule on
 each block.  The final bases, the primal and the dual are the same.
+
+The searches read values only.  ``_r_blocks`` returns r(c) and each
+block's certified numerators; ``wram`` and ``wram_for_colorings`` keep the
+best class's, and the rational ``WeightAssignment`` is built once, for the
+reported coloring.  The vertex-deletion bounds read r alone.
 
 One search loop, ``_first_extremum``, finds every extremum over a list of
 coloring classes: the maximum of r here, the minimum of a packing statistic
@@ -60,11 +67,12 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CapabilityError, CertificateError, ContractViolationError, InputError
-from .exactnum import Relation, Sense, solve_unit_program
+from .exactnum import Relation, _Program, _Solution, _solve_certified
 from .graphs import (
     TwoColoring,
     _check_enumerable,
     _deleted_classes,
+    _induced_columns,
     all_edges,
     enumerate_colorings,
 )
@@ -133,24 +141,45 @@ class WramResult:
 _WEIGHT_LP_CAP = 10
 
 
-def r_of_coloring(c: TwoColoring, k: int) -> tuple[Fraction, WeightAssignment]:
-    """Optimum of max sum(w) subject to unit caps on monochromatic k-sets."""
-    n = c.n
+def _check_weight_lp(n: int, k: int) -> None:
     if not 3 <= k <= n:
         raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
     if n > _WEIGHT_LP_CAP:
         raise CapabilityError(f"weight LP capped at n={_WEIGHT_LP_CAP}")
-    value = Fraction(0)
+
+
+def _r_blocks(c: TwoColoring, k: int) -> tuple[Fraction, list[tuple[int, _Solution]]]:
+    """r(c; n, k) and each nonempty color block's mask and certified
+    solution, red first; no weight is built."""
+    n = c.n
+    blocks = []
+    num, den = 0, 1
+    red = c.red.mask
+    for mask in (red, red ^ ((1 << (n * (n - 1) // 2)) - 1)):
+        if mask:
+            crow, m = _induced_columns(n, mask, k)
+            solution = _solve_certified(_Program(crow, m, Relation.LE, True), "weight LP")
+            blocks.append((mask, solution))
+            num, den = num * solution.d + solution.optimum * den, den * solution.d
+    return Fraction(num, den), blocks
+
+
+def _weights(n: int, blocks: list[tuple[int, _Solution]]) -> WeightAssignment:
+    """The weight on every edge from the blocks' primal numerators."""
+    edges = all_edges(n)
     weights = {}
-    for g in (c.red, c.blue):
-        if g.mask:
-            optimum, primal = solve_unit_program(
-                g.edge_count, [row for _, row in g.induced_rows(k)],
-                Sense.MAX, Relation.LE, "weight LP",
-            )
-            value += optimum
-            weights.update(zip(g.edges(), primal))
-    return value, WeightAssignment(n, weights)
+    for mask, solution in blocks:
+        d = solution.d
+        block_edges = [e for p, e in enumerate(edges) if mask >> p & 1]
+        weights.update((e, Fraction(x, d)) for e, x in zip(block_edges, solution.primal) if x)
+    return WeightAssignment(n, weights)
+
+
+def r_of_coloring(c: TwoColoring, k: int) -> tuple[Fraction, WeightAssignment]:
+    """Optimum of max sum(w) subject to unit caps on monochromatic k-sets."""
+    _check_weight_lp(c.n, k)
+    value, blocks = _r_blocks(c, k)
+    return value, _weights(c.n, blocks)
 
 
 def _first_extremum(items, fn, key, bounds=None):
@@ -178,20 +207,21 @@ def _first_extremum(items, fn, key, bounds=None):
 
 def _deletion_bounds(n: int, k: int) -> list[Fraction]:
     """The vertex-deletion bound on r of each class of K_n, k < n - 1."""
-    r_below = {c.red.mask: r_of_coloring(c, k)[0] for c in enumerate_colorings(n - 1)}
+    r_below = {c.red.mask: _r_blocks(c, k)[0] for c in enumerate_colorings(n - 1)}
     return [sum(map(r_below.__getitem__, deleted)) / (n - 2)
             for deleted in _deleted_classes(n)]
 
 
 def _max_r(colorings: list[TwoColoring], k: int, bounds, partial: bool) -> WramResult:
-    """The first coloring of the list with the largest r, as a WramResult."""
-    witness, (r_value, weights) = _first_extremum(
-        colorings, functools.partial(r_of_coloring, k=k), operator.itemgetter(0), bounds
+    """The first coloring of the list with the largest r, as a WramResult;
+    only its weights are built."""
+    n = colorings[0].n
+    witness, (r_value, blocks) = _first_extremum(
+        colorings, functools.partial(_r_blocks, k=k), operator.itemgetter(0), bounds
     )
-    n = witness.n
     return WramResult(
         n=n, k=k, value=Fraction(n * (n - 1), 2) / r_value, r_value=r_value,
-        witness_coloring=witness, witness_weights=weights,
+        witness_coloring=witness, witness_weights=_weights(n, blocks),
         partial=partial, num_colorings=len(colorings),
     )
 
@@ -221,8 +251,7 @@ def wram_for_colorings(colorings: list[TwoColoring], k: int) -> WramResult:
     n = colorings[0].n
     if any(c.n != n for c in colorings):
         raise InputError("all colorings must share the same vertex count")
-    if not 3 <= k <= n:
-        raise InputError(f"need 3 <= k <= n, got k={k}, n={n}")
+    _check_weight_lp(n, k)
     return _max_r(colorings, k, None, partial=True)
 
 

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -26,24 +27,39 @@ from unit_programs import capture_unit_programs
 
 
 def _solved(*args):
-    """The integer program of (num_vars, rows, sense, relation) and its solution."""
+    """The integer program of (num_vars, rows, sense, relation), its
+    solution as numerators over d and that solution as rationals."""
     prog = exactnum._unit_program(*args)
-    return prog, exactnum._solve(prog)
+    raw = exactnum._solve(prog)
+    return prog, raw, raw.rational()
+
+
+def _over_one_denominator(sol: LpSolution) -> exactnum._Solution:
+    """A rational solution as numerators over the lcm of its denominators."""
+    if sol.status is not LpStatus.OPTIMAL:
+        return exactnum._Solution(sol.status)
+    d = lcm(*(v.denominator for v in (sol.optimum, *sol.primal, *sol.dual)))
+
+    def scaled(values):
+        return [v.numerator * (d // v.denominator) for v in values]
+
+    return exactnum._Solution(sol.status, d, scaled([sol.optimum])[0],
+                              scaled(sol.primal), scaled(sol.dual))
 
 
 def test_single_binding_constraint():
-    prog, sol = _solved(1, [[0]], Sense.MAX, Relation.LE)
+    prog, raw, sol = _solved(1, [[0]], Sense.MAX, Relation.LE)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.optimum == 1
     assert sol.primal == (F(1),)
-    assert exactnum._certified(prog, sol)
+    assert exactnum._certified(prog, raw)
 
 
 def test_triangle_packing_of_k3_lp():
     # max g subject to g <= 1 on each of the 3 edges.
-    prog, sol = _solved(1, [[0]] * 3, Sense.MAX, Relation.LE)
+    prog, raw, sol = _solved(1, [[0]] * 3, Sense.MAX, Relation.LE)
     assert sol.optimum == 1
-    assert exactnum._certified(prog, sol)
+    assert exactnum._certified(prog, raw)
 
 
 def _k4_cover_rows():
@@ -64,21 +80,23 @@ def test_k4_cover_lp_optimum_two():
     assert 4 * F(1, 2) == 2
     assert 6 * F(1, 3) == 2
 
-    prog, sol = _solved(4, rows, Sense.MIN, Relation.GE)
+    prog, raw, sol = _solved(4, rows, Sense.MIN, Relation.GE)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.optimum == 2
-    assert exactnum._certified(prog, sol)
+    assert exactnum._certified(prog, raw)
 
 
 def test_certificates_reject_perturbed_optimum():
-    prog, sol = _solved(1, [[0]] * 3, Sense.MAX, Relation.LE)
+    prog, raw, sol = _solved(1, [[0]] * 3, Sense.MAX, Relation.LE)
     bad = LpSolution(LpStatus.OPTIMAL, sol.optimum + F(1, 1000), sol.primal, sol.dual)
-    assert exactnum._certified(prog, sol)
-    assert not exactnum._certified(prog, bad)
+    assert exactnum._certified(prog, raw)
+    assert exactnum._certified(prog, _over_one_denominator(sol))
+    assert not exactnum._certified(prog, _over_one_denominator(bad))
+    assert not exactnum._certified(prog, raw._replace(optimum=raw.optimum + 1))
 
 
 def test_unbounded_with_no_constraints():
-    _, sol = _solved(1, [], Sense.MAX, Relation.LE)
+    _, _, sol = _solved(1, [], Sense.MAX, Relation.LE)
     assert sol.status is LpStatus.UNBOUNDED
 
 
@@ -89,22 +107,22 @@ def test_infeasible_unit_programs():
         # An empty row cannot reach 1.
         (1, [[0], []], Sense.MIN, Relation.GE),
     ]:
-        _, sol = _solved(*args)
+        _, _, sol = _solved(*args)
         assert sol.status is LpStatus.INFEASIBLE
         assert sol == dense_solve_unit(*args)
 
 
 def test_min_with_ge_row():
-    prog, sol = _solved(3, [[0], [1], [2]], Sense.MIN, Relation.GE)
+    prog, raw, sol = _solved(3, [[0], [1], [2]], Sense.MIN, Relation.GE)
     assert sol.optimum == 3
-    assert exactnum._certified(prog, sol)
+    assert exactnum._certified(prog, raw)
 
 
 def test_equality_row():
     # Five disjoint pairs, each summing to exactly 1.
-    prog, sol = _solved(10, [[j, j + 1] for j in range(0, 10, 2)], Sense.MAX, Relation.EQ)
+    prog, raw, sol = _solved(10, [[j, j + 1] for j in range(0, 10, 2)], Sense.MAX, Relation.EQ)
     assert sol.optimum == 5
-    assert exactnum._certified(prog, sol)
+    assert exactnum._certified(prog, raw)
 
 
 def test_bad_variable_index_rejected():
@@ -145,14 +163,14 @@ def test_random_problems_certify_and_commute():
     optimal = 0
     for _ in range(250):
         n, rows, sense, relation = _random_program(rng)
-        prog, sol = _solved(n, rows, sense, relation)
+        prog, raw, sol = _solved(n, rows, sense, relation)
         if sol.status is LpStatus.OPTIMAL:
             optimal += 1
-            assert exactnum._certified(prog, sol)
+            assert exactnum._certified(prog, raw)
             # Row order must not change the optimum value.
             shuffled = list(rows)
             rng.shuffle(shuffled)
-            _, sol2 = _solved(n, shuffled, sense, relation)
+            _, _, sol2 = _solved(n, shuffled, sense, relation)
             assert sol2.status is LpStatus.OPTIMAL
             assert sol2.optimum == sol.optimum
     assert optimal > 50
@@ -162,7 +180,7 @@ def test_deterministic_resolve():
     rng = random.Random(7)
     for _ in range(25):
         args = _random_program(rng)
-        assert _solved(*args)[1] == _solved(*args)[1]
+        assert _solved(*args)[1:] == _solved(*args)[1:]
 
 
 _SMALL_RATIONALS = st.builds(
@@ -197,11 +215,11 @@ def _highs(num_vars, rows, sense, relation):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_unit_programs())
 def test_random_lps_certify_and_agree_with_highs(args):
-    prog, sol = _solved(*args)
+    prog, raw, sol = _solved(*args)
     status, optimum = _highs(*args)
     assert sol.status is status
     if sol.status is LpStatus.OPTIMAL:
-        assert exactnum._certified(prog, sol)
+        assert exactnum._certified(prog, raw)
         assert abs(float(sol.optimum) - optimum) <= 1e-9 * max(1.0, abs(optimum))
 
 
@@ -301,24 +319,28 @@ def _oracle_programs(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_oracle_programs(), st.data())
 def test_integer_certificate_check_matches_fraction_oracle(args, data):
-    # The integer check, on the solver's pair and on tampered ones, against
-    # the Fraction oracle, on programs that reach every side path.
-    prog, sol = _solved(*args)
-    assert exactnum._certified(prog, sol) == _fraction_check_certificates(args, sol)
+    # The integer check, on the solver's numerators and on tampered pairs
+    # over one denominator, against the Fraction oracle, on programs that
+    # reach every side path.
+    prog, raw, sol = _solved(*args)
+    assert exactnum._certified(prog, raw) == _fraction_check_certificates(args, sol)
     pair = _tampered(data, args, sol)
-    assert exactnum._certified(prog, pair) == _fraction_check_certificates(args, pair)
+    assert (exactnum._certified(prog, _over_one_denominator(pair))
+            == _fraction_check_certificates(args, pair))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_unit_programs(), st.data())
 def test_unit_certificate_check_matches_fraction_oracle(args, data):
-    # The integer check, on the solver's pair and on tampered ones, against
-    # the Fraction oracle; the solver's pair is the dense oracle's.
-    prog, sol = _solved(*args)
+    # The integer check, on the solver's numerators and on tampered pairs
+    # over one denominator, against the Fraction oracle; the solver's pair
+    # is the dense oracle's.
+    prog, raw, sol = _solved(*args)
     assert sol == dense_solve_unit(*args)
-    assert exactnum._certified(prog, sol) == _fraction_check_certificates(args, sol)
+    assert exactnum._certified(prog, raw) == _fraction_check_certificates(args, sol)
     pair = _tampered(data, args, sol)
-    assert exactnum._certified(prog, pair) == _fraction_check_certificates(args, pair)
+    assert (exactnum._certified(prog, _over_one_denominator(pair))
+            == _fraction_check_certificates(args, pair))
 
 
 @pytest.mark.parametrize("sense, relation, optimum, wrong_dual", [
@@ -331,11 +353,12 @@ def test_unit_certificate_check_rejects_a_dual_of_the_wrong_sign(
     # Two copies of the row x0 <relation> 1: moving dual weight from one copy
     # to the other keeps b.y and A^T y, so only the sign check can object.
     args = (1, [[0], [0]], sense, relation)
-    prog, sol = _solved(*args)
+    prog, raw, sol = _solved(*args)
     assert sol.optimum == optimum
-    assert exactnum._certified(prog, sol)
+    assert exactnum._certified(prog, raw)
+    assert not exactnum._certified(prog, raw._replace(dual=[raw.d * y for y in wrong_dual]))
     bad = LpSolution(LpStatus.OPTIMAL, sol.optimum, sol.primal, tuple(map(F, wrong_dual)))
-    assert not exactnum._certified(prog, bad)
+    assert not exactnum._certified(prog, _over_one_denominator(bad))
     assert not _fraction_check_certificates(args, bad)
 
 
@@ -447,7 +470,7 @@ def test_unit_program_failures_name_the_program():
 @given(_oracle_programs())
 def test_kernel_inverse_matches_dense_oracle(args):
     # Same status, optimum, primal and dual: the same pivot path.
-    assert _solved(*args)[1] == dense_solve_unit(*args)
+    assert _solved(*args)[2] == dense_solve_unit(*args)
 
 
 def test_weight_lp_blocks_match_dense_oracle(monkeypatch):
@@ -523,11 +546,11 @@ def test_drive_out_pivots_on_a_negative_entry(monkeypatch):
     # basis is negated to keep d positive.
     seen = _record_pivots(monkeypatch)
     args = (2, [[0], [0, 1]], Sense.MAX, Relation.EQ)
-    prog, sol = _solved(*args)
+    prog, raw, sol = _solved(*args)
     assert sol == dense_solve_unit(*args)
     assert (sol.optimum, sol.primal, sol.dual) == (1, (1, 0), (0, 1))
     assert seen == [(0, 1, 1), (1, 4, -1)]
-    assert exactnum._certified(prog, sol)
+    assert exactnum._certified(prog, raw)
 
 
 def test_slacks_leave_and_reenter_at_other_kernel_columns(monkeypatch):
@@ -537,11 +560,11 @@ def test_slacks_leave_and_reenter_at_other_kernel_columns(monkeypatch):
     # slack 7 then re-enters from there.
     seen = _record_pivots(monkeypatch)
     args = (7, [[1, 5], [0, 1], [0, 5], [0, 1, 2], [0, 1, 3, 4, 6]], Sense.MAX, Relation.LE)
-    prog, sol = _solved(*args)
+    prog, raw, sol = _solved(*args)
     assert sol == dense_solve_unit(*args)
     assert (sol.optimum, sol.primal, sol.dual) == (3, (0, 0, 1, 1, 0, 1, 0), (0, 0, 1, 1, 1))
     assert seen == [(0, 8, 1), (2, 10, 1), (3, 11, 1), (5, 9, 1), (1, 7, 2), (8, 0, 1), (7, 1, 1)]
-    assert exactnum._certified(prog, sol)
+    assert exactnum._certified(prog, raw)
 
 
 def test_packing_lps_match_dense_oracle(monkeypatch):

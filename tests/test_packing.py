@@ -691,3 +691,22 @@ def _witness_digest() -> str:
 
 def test_witnesses_match_pinned_digest():
     assert _witness_digest() == PINNED_WITNESS_DIGEST
+
+
+# The digest of every unit program solved over the same corpus and of its
+# solution as reduced rationals: status, optimum, primal and dual.  A change
+# in the dual path, which no witness shows, changes it.
+PINNED_SOLUTION_DIGEST = "834c0e8b5f413dc41596eb4d706b1bb19b8383ce3aeae4e8cd8cb48e177471ad"
+
+
+def test_solutions_match_pinned_digest(monkeypatch):
+    seen = capture_unit_programs(monkeypatch)
+    _witness_digest()
+    digest = hashlib.sha256()
+    for (num_vars, rows, sense, relation), sol in seen:
+        digest.update(f"{num_vars} {rows} {sense.value} {relation.value}\n".encode())
+        digest.update(f"{sol.status.value} {sol.optimum}\n".encode())
+        digest.update(" ".join(map(str, sol.primal)).encode() + b"\n")
+        digest.update(" ".join(map(str, sol.dual)).encode() + b"\n")
+    assert len(seen) == 993
+    assert digest.hexdigest() == PINNED_SOLUTION_DIGEST

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wramsey import weighted_ramsey
+from wramsey import exactnum, weighted_ramsey
 from wramsey.errors import (
     CapabilityError,
     CertificateError,
@@ -20,6 +20,7 @@ from wramsey.exactnum import Relation, Sense, solve_unit_program
 from wramsey.graphs import (
     TwoColoring,
     _deleted_classes,
+    _induced_columns,
     all_edges,
     balanced_blowup,
     enumerate_colorings,
@@ -176,12 +177,13 @@ def test_vertex_deletion_bound_holds_on_every_class():
 
 def test_pruning_skips_classes(monkeypatch):
     solved = []
+    r_blocks = weighted_ramsey._r_blocks
 
     def counting(c, k):
         solved.append(c.n)
-        return r_of_coloring(c, k)
+        return r_blocks(c, k)
 
-    monkeypatch.setattr(weighted_ramsey, "r_of_coloring", counting)
+    monkeypatch.setattr(weighted_ramsey, "_r_blocks", counting)
     # At (7,3) all 78 classes of K_6 are solved, and the bound leaves 13 of
     # the 522 of K_7.
     assert wram(7, 3).value == F(42, 19)
@@ -194,6 +196,23 @@ def test_pruning_skips_classes(monkeypatch):
     solved.clear()
     wram(7, 6)
     assert (solved.count(6), solved.count(7)) == (0, 522)
+
+
+def test_searches_build_weights_only_for_the_witness(monkeypatch):
+    built = []
+    weights = weighted_ramsey._weights
+
+    def counting(n, blocks):
+        built.append(n)
+        return weights(n, blocks)
+
+    monkeypatch.setattr(weighted_ramsey, "_weights", counting)
+    res = wram(6, 3)
+    assert built == [6]
+    assert r_of_coloring(res.witness_coloring, 3) == (res.r_value, res.witness_weights)
+    built.clear()
+    wram_for_colorings(enumerate_colorings(5), 4)
+    assert built == [5]
 
 
 def test_wram_for_colorings_single_candidates():
@@ -316,6 +335,20 @@ def test_color_blocks_match_the_joint_program():
     cases += [(c, k) for c in sample for k in (3, 4)]
     for c, k in cases:
         assert r_of_coloring(c, k) == _joint_weight_lp(c, k)
+
+
+def test_block_columns_match_the_row_built_program():
+    # Each color block's program, posed by column from the (n, k) table,
+    # is the program exactnum builds from the block's induced rows.
+    cases = [(c, k) for n in range(3, 7) for c in enumerate_colorings(n)
+             for k in range(3, n + 1)]
+    sample = random.Random(7).sample(enumerate_colorings(7), 40)
+    cases += [(c, k) for c in sample for k in range(3, 8)]
+    for c, k in cases:
+        for g in (c.red, c.blue):
+            want = exactnum._unit_program(
+                g.edge_count, [row for _, row in g.induced_rows(k)], Sense.MAX, Relation.LE)
+            assert _induced_columns(c.n, g.mask, k) == (want.crow, want.m)
 
 
 def test_weight_assignment_validation():

@@ -1,40 +1,36 @@
 """Record the unit programs ``exactnum`` solves, for tests that check them.
 
-``exactnum.solve_unit_program`` hands its index rows to the integer solver
-and certificate check as they are.  ``capture_unit_programs`` records each
-program as a (num_vars, rows, sense, relation) tuple with the solution the
-solver returned, so a recorded program can be compared with the dense
-oracle and with pinned witnesses.
+Every unit program reaches ``exactnum._solve`` as an integer program
+stored by column: the packing LPs from their index rows, the weight LPs
+from ``graphs._induced_columns``.  ``capture_unit_programs`` records each
+program there as a (num_vars, rows, sense, relation) tuple, its rows read
+back from the columns, with the solution the solver returned as rationals,
+so a recorded program can be compared with the dense oracle and with
+pinned witnesses.
 """
 
 from __future__ import annotations
 
 from wramsey import exactnum
-from wramsey.exactnum import LpSolution
+from wramsey.exactnum import LpSolution, Sense
 
 
 def capture_unit_programs(monkeypatch) -> list[tuple[tuple, LpSolution]]:
     """Record ((num_vars, rows, sense, relation), solution) for every unit
-    program exactnum solves.
-
-    The rows are taken where ``solve_unit_program`` turns them into an
-    integer program, and the solution where that program is solved.
-    """
+    program exactnum solves."""
     seen: list[tuple[tuple, LpSolution]] = []
-    programs: dict[int, tuple] = {}
-    build, solve = exactnum._unit_program, exactnum._solve
-
-    def recording_build(num_vars, rows, sense, relation):
-        rows = tuple(tuple(row) for row in rows)
-        prog = build(num_vars, rows, sense, relation)
-        programs[id(prog)] = (num_vars, rows, sense, relation)
-        return prog
+    solve = exactnum._solve
 
     def recording_solve(prog):
         solution = solve(prog)
-        seen.append((programs.pop(id(prog)), solution))
+        rows: list[list[int]] = [[] for _ in range(prog.m)]
+        for j, col in enumerate(prog.crow):
+            for i in col:
+                rows[i].append(j)
+        program = (len(prog.crow), tuple(map(tuple, rows)),
+                   Sense.MAX if prog.maximize else Sense.MIN, prog.relation)
+        seen.append((program, solution.rational()))
         return solution
 
-    monkeypatch.setattr(exactnum, "_unit_program", recording_build)
     monkeypatch.setattr(exactnum, "_solve", recording_solve)
     return seen
