@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import sys
 import time
@@ -32,14 +33,16 @@ from .errors import (
 )
 from .graphs import format_coloring, parse_colorings, parse_graph, turan_number
 from .packing import (
+    SubgraphDescriptor,
     SubgraphWeights,
-    induced_descriptor,
     r_induced,
     r_tilde,
     tau_integral_family,
     tau_star,
 )
 from .weighted_ramsey import wram, wram_for_colorings
+
+_ONE = Fraction(1)
 
 
 def format_rational(x: Fraction) -> str:
@@ -183,9 +186,10 @@ def _cmd_wram(args) -> RunReport:
 
 def _tau_family(g) -> tuple[int, SubgraphWeights]:
     family = tau_integral_family(g)
-    return len(family), SubgraphWeights(
-        g, {induced_descriptor(g, tri): Fraction(1) for tri in family}
-    )
+    # Every family member is a triangle of g: its edges are its three pairs.
+    return len(family), SubgraphWeights(g, {
+        SubgraphDescriptor(tri, tuple(itertools.combinations(tri, 2))): _ONE for tri in family
+    })
 
 
 def _cmd_packing(args) -> RunReport:

@@ -10,16 +10,27 @@ Four invariants are computed exactly:
 * ``r_tilde``     - min total weight on arbitrary 3-vertex subgraphs with
                     every edge loaded exactly once.
 
-The three LPs share one shape: one row per edge, over the members that
-use it, with the edge's load held at most, at least or exactly 1, and unit
-costs; ``exactnum.solve_unit_program`` solves and certifies it.  A member
-is a vertex triple from ``Graph.induced_rows(3)`` with the positions in
-``g.edges()`` of its edges; only the witness's members become descriptors.
+The three LPs share one shape: one row per edge that some member uses,
+with the edge's load held at most, at least or exactly 1, and unit costs.
+A member is a vertex triple from ``Graph.induced_rows(3)`` with the
+positions in ``g.edges()`` of its edges.  The rows are read once per graph
+(``_incidence`` keeps the last graph's), and each program is posed by
+column: a member's column is the row numbers of its edges.  Every edge is
+a row of ``r_induced`` and ``r_tilde``, so there a row number is the edge
+position; ``tau_star``'s rows are the edges that lie in a triangle,
+numbered in edge order.  ``exactnum._solve_certified`` solves and
+certifies the program in integer numerators over one denominator, and
+rationals are built only for the optimum and the witness's nonzero
+weights; only the witness's members become descriptors.
 
 An edge's single-edge member is the same column on every triple that holds
 it, so ``r_induced`` and ``r_tilde`` pose it once, on the first such triple
-in combinations order.  Under Bland's rule the pivot path, and with it
-every optimum and witness, is that of the program with every copy:
+in combinations order.  For ``r_tilde`` that is the triple of the edge's
+pair and the smallest vertex outside it, which depends on n alone
+(``_first_triples``); ``r_induced`` poses it on the first triple that
+induces exactly that edge, which depends on the graph.  Under Bland's rule
+the pivot path, and with it every optimum and witness, is that of the
+program with every copy:
 
 * identical columns have equal reduced costs, so the first copy is always
   priced first, and a later copy never enters while the first is nonbasic;
@@ -41,14 +52,14 @@ introduce one-edge members (an edge plus an isolated vertex).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapabilityError, ContractViolationError, InputError
-from .exactnum import Relation, Sense, _solve_certified, solve_unit_program
-from .exactnum import _unit_program as _index_program
+from .exactnum import Relation, _Program, _solve_certified
 from .graphs import Graph, TwoColoring, enumerate_colorings
 from .weighted_ramsey import _first_extremum
 
@@ -157,23 +168,43 @@ def _require_cap(g: Graph, cap: int, what: str) -> None:
         raise CapabilityError(f"{what} capped at n={cap}")
 
 
-def _triangle_members(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@functools.lru_cache(maxsize=1)
+def _incidence(g: Graph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """``g.induced_rows(3)``: each vertex triple with an edge and the
+    positions of its edges.  Only the last graph's rows are kept, so the
+    statistics of one ``packing`` call build them once."""
+    return tuple(g.induced_rows(3))
+
+
+def _triangles(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    return [m for m in _incidence(g) if len(m[1]) == 3]
+
+
+def _tau_star_program(g: Graph) -> tuple[list, _Program]:
+    """The triangles and the packing program over them; its rows are the
+    edges that lie in a triangle, numbered in edge order."""
     _require_cap(g, _TAU_STAR_CAP, "fractional triangle packing")
-    return [m for m in g.induced_rows(3) if len(m[1]) == 3]
+    triangles = _triangles(g)
+    used = [0] * g.edge_count
+    for _, row in triangles:
+        for e in row:
+            used[e] = 1
+    rank = list(itertools.accumulate(used, initial=0))
+    return triangles, _Program([[rank[a], rank[b], rank[c]] for _, (a, b, c) in triangles],
+                               rank[-1], Relation.LE, True)
 
 
 def tau_star(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     """Fractional triangle packing number with an optimal weight witness."""
-    return _unit_program(g, _triangle_members(g), Sense.MAX, Relation.LE)
+    return _optimize(g, *_tau_star_program(g))
 
 
 def _tau_star_value(g: Graph) -> Fraction:
     """tau_star(g)'s value alone: no witness is built."""
-    members = _triangle_members(g)
-    if not members:
+    triangles, program = _tau_star_program(g)
+    if not triangles:
         return _ZERO
-    solution = _solve_certified(_index_program(
-        len(members), _member_rows(g, members), Sense.MAX, Relation.LE), "packing LP")
+    solution = _solve_certified(program, "packing LP")
     return Fraction(solution.optimum, solution.d)
 
 
@@ -190,7 +221,7 @@ def tau_integral(g: Graph) -> int:
 def tau_integral_family(g: Graph) -> list[tuple[int, int, int]]:
     """An explicit maximum edge-disjoint triangle family (deterministic)."""
     _require_cap(g, _TAU_CAP, "integral packing")
-    triangles = [m for m in g.induced_rows(3) if len(m[1]) == 3]
+    triangles = _triangles(g)
     # Each triangle's edges, and each vertex's star, as a bitmask over the
     # edge positions.
     masks = [sum(1 << e for e in row) for _, row in triangles]
@@ -238,27 +269,25 @@ def tau_integral_family(g: Graph) -> list[tuple[int, int, int]]:
     return [triangles[i][0] for i in sorted(best_sel)]
 
 
-def _member_rows(g: Graph, members) -> list[list[int]]:
-    """One row per edge some member uses: the members that use it, in order."""
-    rows: list[list[int]] = [[] for _ in range(g.edge_count)]
-    for i, (_, member_edges) in enumerate(members):
-        for e in member_edges:
-            rows[e].append(i)
-    return [row for row in rows if row]
-
-
-def _unit_program(g: Graph, members: list[tuple[tuple[int, ...], tuple[int, ...]]],
-                  sense: Sense, relation: Relation) -> tuple[Fraction, SubgraphWeights]:
-    """Optimize the total member weight; one row per edge some member uses."""
+def _optimize(g: Graph, members: list[tuple[tuple[int, ...], tuple[int, ...]]],
+              program: _Program) -> tuple[Fraction, SubgraphWeights]:
+    """The certified optimum of a packing program and its witness: member
+    j, a vertex triple with the positions of its edges, is column j."""
     if not members:
         return _ZERO, SubgraphWeights(g, {})
-    optimum, primal = solve_unit_program(
-        len(members), _member_rows(g, members), sense, relation, "packing LP")
+    solution = _solve_certified(program, "packing LP")
+    d = solution.d
     edges = g.edges()
-    return optimum, SubgraphWeights(g, {
-        SubgraphDescriptor(triple, tuple(edges[e] for e in member_edges)): w
-        for (triple, member_edges), w in zip(members, primal) if w
+    return Fraction(solution.optimum, d), SubgraphWeights(g, {
+        SubgraphDescriptor(members[j][0], tuple(edges[e] for e in members[j][1])): Fraction(x, d)
+        for j, x in enumerate(solution.primal) if x
     })
+
+
+def _cover_program(g: Graph, members, relation: Relation) -> _Program:
+    """The minimum program over members that use every edge: one row per
+    edge, so a member's column is its edge positions."""
+    return _Program([list(m[1]) for m in members], g.edge_count, relation, False)
 
 
 def _single_edges_once(members):
@@ -285,7 +314,36 @@ def r_induced(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     the program over every triple.
     """
     _require_cap(g, _R_INDUCED_CAP, "induced cover")
-    return _unit_program(g, _single_edges_once(g.induced_rows(3)), Sense.MIN, Relation.GE)
+    members = _single_edges_once(_incidence(g))
+    return _optimize(g, members, _cover_program(g, members, Relation.GE))
+
+
+@functools.lru_cache(maxsize=None)
+def _first_triples(n: int) -> tuple[tuple[int, int, int], ...]:
+    """For each pair of K_n, in K_n index order, the first vertex triple in
+    combinations order that holds it: the pair and the smallest vertex
+    outside it."""
+    return tuple(
+        tuple(sorted((u, v, next(w for w in range(n) if w != u and w != v))))
+        for u, v in itertools.combinations(range(n), 2)
+    )
+
+
+def _tilde_members(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every nonempty edge subset of every triple, in combinations order,
+    each single-edge member only on the first triple that holds its pair."""
+    mask = g.mask
+    # The first triple of each edge, by edge position.
+    first = [t for p, t in enumerate(_first_triples(g.n)) if mask >> p & 1]
+    members = []
+    for triple, row in _incidence(g):
+        for e in row:
+            if first[e] == triple:
+                members.append((triple, (e,)))
+        for size in range(2, len(row) + 1):
+            for subset in itertools.combinations(row, size):
+                members.append((triple, subset))
+    return members
 
 
 def r_tilde(g: Graph) -> tuple[Fraction, SubgraphWeights]:
@@ -297,11 +355,8 @@ def r_tilde(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     are those of the program over every member.
     """
     _require_cap(g, _R_TILDE_CAP, "exact-load cover")
-    return _unit_program(g, _single_edges_once(
-        (triple, subset) for triple, row in g.induced_rows(3)
-        for size in range(1, len(row) + 1)
-        for subset in itertools.combinations(row, size)
-    ), Sense.MIN, Relation.EQ)
+    members = _tilde_members(g)
+    return _optimize(g, members, _cover_program(g, members, Relation.EQ))
 
 
 def lift_tilde_to_induced(tw: SubgraphWeights) -> SubgraphWeights:

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 import packing_oracle
 from dense_oracle import solve_unit as dense_solve_unit
 from unit_programs import capture_unit_programs
-from wramsey import packing
+from wramsey import cli, exactnum, packing
 from wramsey.errors import CapabilityError, ContractViolationError, InputError
-from wramsey.exactnum import Relation, Sense
+from wramsey.exactnum import Relation, Sense, solve_unit_program
 from wramsey.graphs import Graph, TwoColoring, enumerate_colorings, mono_triangle_free_k5
 from wramsey.packing import (
     ColoringPackingStats,
@@ -633,6 +633,30 @@ def _full_members(g: Graph, name: str):
             for subset in itertools.combinations(row, size)]
 
 
+def _member_rows(g: Graph, members) -> list[list[int]]:
+    """One row per edge some member uses: the members that use it, in order."""
+    rows: list[list[int]] = [[] for _ in range(g.edge_count)]
+    for i, (_, member_edges) in enumerate(members):
+        for e in member_edges:
+            rows[e].append(i)
+    return [row for row in rows if row]
+
+
+def _row_program(g: Graph, members, sense: Sense,
+                 relation: Relation) -> tuple[F, SubgraphWeights]:
+    """The packing LP over members, solved from its rows through
+    ``solve_unit_program``, with its witness."""
+    if not members:
+        return F(0), SubgraphWeights(g, {})
+    optimum, primal = solve_unit_program(
+        len(members), _member_rows(g, members), sense, relation, "packing LP")
+    edges = g.edges()
+    return optimum, SubgraphWeights(g, {
+        SubgraphDescriptor(triple, tuple(edges[e] for e in member_edges)): w
+        for (triple, member_edges), w in zip(members, primal) if w
+    })
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(3, 8).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))),
@@ -641,11 +665,87 @@ def test_single_edge_copies_change_no_optimum_or_witness(graph, lp):
     g = Graph(*graph)
     name, relation = lp
     full = _full_members(g, name)
-    want = packing._unit_program(g, full, Sense.MIN, relation)
-    got = packing._unit_program(g, packing._single_edges_once(full), Sense.MIN, relation)
+    want = _row_program(g, full, Sense.MIN, relation)
+    got = _row_program(g, packing._single_edges_once(full), Sense.MIN, relation)
     assert got[0] == want[0]
     assert list(got[1].weights.items()) == list(want[1].weights.items())
     assert getattr(packing, name)(g) == got
+
+
+# Each LP's members in posing order, from the full incidence, with its sense
+# and relation.
+_POSED_MEMBERS = {
+    "tau_star": (lambda g: [m for m in g.induced_rows(3) if len(m[1]) == 3],
+                 Sense.MAX, Relation.LE),
+    "r_induced": (lambda g: packing._single_edges_once(_full_members(g, "r_induced")),
+                  Sense.MIN, Relation.GE),
+    "r_tilde": (lambda g: packing._single_edges_once(_full_members(g, "r_tilde")),
+                Sense.MIN, Relation.EQ),
+}
+
+
+class _Posed(Exception):
+    pass
+
+
+def _posed_program(monkeypatch, name: str, g: Graph):
+    """The program ``packing.<name>(g)`` hands to the solver, or None if it
+    solves none; nothing is solved."""
+    def record(program, what):
+        raise _Posed(program)
+
+    monkeypatch.setattr(packing, "_solve_certified", record)
+    try:
+        getattr(packing, name)(g)
+    except _Posed as posed:
+        return posed.args[0]
+    return None
+
+
+def _assert_posed_by_rows(monkeypatch, g: Graph) -> None:
+    for name, (members_of, sense, relation) in _POSED_MEMBERS.items():
+        members = members_of(g)
+        got = _posed_program(monkeypatch, name, g)
+        if not members:
+            assert got is None
+            continue
+        assert got == exactnum._unit_program(
+            len(members), _member_rows(g, members), sense, relation)
+
+
+def test_programs_posed_by_column_equal_the_row_built_ones(monkeypatch):
+    for g in _oracle_corpus():
+        if g.n <= 8:
+            _assert_posed_by_rows(monkeypatch, g)
+    # Three of the six edges of a triangle with a pendant path lie in no
+    # triangle: tau_star's rows are the other three, renumbered.
+    pendant = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
+    _assert_posed_by_rows(monkeypatch, pendant)
+    assert _posed_program(monkeypatch, "tau_star", pendant) == exactnum._Program(
+        [[0, 1, 2]], 3, Relation.LE, True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(3, 10).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))))
+def test_programs_posed_by_column_equal_the_row_built_ones_up_to_n10(graph):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_posed_by_rows(monkeypatch, Graph(*graph))
+
+
+@pytest.mark.parametrize("g", [Graph.complete(n) for n in range(3, 11)]
+                         + small_corpus(40, seed=20261021))
+def test_r_tilde_first_triple_members(g):
+    assert packing._tilde_members(g) == packing._single_edges_once(_full_members(g, "r_tilde"))
+
+
+def test_tau_family_descriptors_are_the_induced_ones():
+    for g in _oracle_corpus() + [Graph.complete(10)]:
+        count, weights = cli._tau_family(g)
+        family = tau_integral_family(g)
+        assert count == len(family)
+        assert list(weights.weights) == [induced_descriptor(g, tri) for tri in family]
+        assert all(w == 1 for w in weights.weights.values())
 
 
 def test_r_tilde_builds_descriptors_only_for_the_witness(monkeypatch):

@@ -1,8 +1,8 @@
 """Record the unit programs ``exactnum`` solves, for tests that check them.
 
 Every unit program reaches ``exactnum._solve`` as an integer program
-stored by column: the packing LPs from their index rows, the weight LPs
-from ``graphs._induced_columns``.  ``capture_unit_programs`` records each
+stored by column, posed that way by ``packing`` and, for the weight LPs,
+by ``graphs._induced_columns``.  ``capture_unit_programs`` records each
 program there as a (num_vars, rows, sense, relation) tuple, its rows read
 back from the columns, with the solution the solver returned as rationals,
 so a recorded program can be compared with the dense oracle and with
