@@ -28,10 +28,10 @@ are rounded outward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._record import _Frozen
 from .errors import CertificateError, InputError
 from .graphs import (
     TwoColoring,
@@ -176,19 +176,20 @@ def tail_drop_threshold(cap: Fraction = Fraction("0.9441")) -> int:
     return hi
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    k: int
-    c_k: Fraction
-    lower_bound: Fraction
-    upper_bound: Fraction
-    table_rows: tuple[tuple[int, Fraction, int], ...]
+class BoundsReport(_Frozen):
+    __slots__ = ("k", "c_k", "lower_bound", "upper_bound", "table_rows")
 
-    def __post_init__(self):
-        if self.lower_bound * self.c_k != 1:
+    def __init__(self, k: int, c_k: Fraction, lower_bound: Fraction, upper_bound: Fraction,
+                 table_rows: tuple[tuple[int, Fraction, int], ...]):
+        if lower_bound * c_k != 1:
             raise CertificateError("lower bound must be the reciprocal of c(k)")
-        if self.upper_bound < self.lower_bound:
+        if upper_bound < lower_bound:
             raise CertificateError("upper bound fell below lower bound")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "c_k", c_k)
+        object.__setattr__(self, "lower_bound", lower_bound)
+        object.__setattr__(self, "upper_bound", upper_bound)
+        object.__setattr__(self, "table_rows", table_rows)
 
 
 def bounds_report(k: int) -> BoundsReport:

@@ -14,10 +14,10 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
+from ._record import _Frozen
 from .bounds import (
     _bracket,
     _gap_exact,
@@ -85,18 +85,21 @@ def format_subgraph_weights(sw: SubgraphWeights) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass(frozen=True)
-class RunReport:
-    command: str
-    inputs: dict
-    result: dict
-    elapsed_ms: int | None = None
+class RunReport(_Frozen):
+    __slots__ = ("command", "inputs", "result", "elapsed_ms")
+
+    def __init__(self, command: str, inputs: dict, result: dict, elapsed_ms: int | None = None):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
 
 def _render_json(report: RunReport, out) -> None:
     # json.dump, but a piece over 64k characters (a bounds table's escaped
     # CSV) is written in slices: a text stream encodes each write whole.
-    payload = {key: value for key, value in vars(report).items() if value is not None}
+    payload = {key: value for key, value in zip(report.__slots__, report._values())
+               if value is not None}
     for piece in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload):
         if len(piece) <= 1 << 16:
             out.write(piece)
@@ -360,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 4
     if not args.stable:
-        report = replace(report, elapsed_ms=int((time.perf_counter() - started) * 1000))
+        report = report._replace(elapsed_ms=int((time.perf_counter() - started) * 1000))
     (_render_json if args.json else _render_text)(report, sys.stdout)
     return 0
 

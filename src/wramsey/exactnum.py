@@ -48,12 +48,12 @@ optimum and the primal, ``_Solution.rational`` the whole solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
+from ._record import _Frozen
 from .errors import CapabilityError, CertificateError, InputError
 
 Rational = Fraction
@@ -78,14 +78,17 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(_Frozen):
     """A solution as rationals: the view the dense oracle also returns."""
 
-    status: LpStatus
-    optimum: Fraction | None = None
-    primal: tuple[Fraction, ...] = ()
-    dual: tuple[Fraction, ...] = ()
+    __slots__ = ("status", "optimum", "primal", "dual")
+
+    def __init__(self, status: LpStatus, optimum: Fraction | None = None,
+                 primal: tuple[Fraction, ...] = (), dual: tuple[Fraction, ...] = ()):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "optimum", optimum)
+        object.__setattr__(self, "primal", primal)
+        object.__setattr__(self, "dual", dual)
 
 
 class _Solution(NamedTuple):

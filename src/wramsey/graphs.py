@@ -31,9 +31,9 @@ the child: its search cannot stop early before its sets outgrow alpha.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import _Frozen
 from .errors import CapabilityError, InputError
 
 MAX_VERTICES = 16
@@ -110,17 +110,25 @@ def _check_vertex_count(n: int) -> None:
         raise InputError(f"vertex count {n} outside 3..{MAX_VERTICES}")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Frozen):
     """Undirected simple graph on n vertices, adjacency as an edge bitmask."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        if not 0 <= self.mask < (1 << self.num_pairs):
+    def __init__(self, n: int, mask: int):
+        _check_vertex_count(n)
+        if not 0 <= mask < (1 << (n * (n - 1) // 2)):
             raise InputError("edge mask out of range")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.mask) == (other.n, other.mask)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -187,11 +195,21 @@ class Graph:
         return tuple(t for t, row in self.induced_rows(3) if len(row) == 3)
 
 
-@dataclass(frozen=True)
-class TwoColoring:
+class TwoColoring(_Frozen):
     """Red/Blue edge coloring of K_n, stored through its red graph."""
 
-    red: Graph
+    __slots__ = ("red",)
+
+    def __init__(self, red: Graph):
+        object.__setattr__(self, "red", red)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.red,) == (other.red,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.red,))
 
     @property
     def n(self) -> int:
@@ -728,6 +746,7 @@ def parse_colorings(text: str) -> list[TwoColoring]:
     pos = 0
     while pos < len(lines):
         n = _parse_header(lines[pos], "coloring")
+        _check_vertex_count(n)
         end = pos + 1 + n * (n - 1) // 2
         records.append(_parse_coloring_lines(n, lines[pos + 1:end]))
         pos = end

@@ -55,9 +55,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import _Frozen, _Record
 from .errors import CapabilityError, ContractViolationError, InputError
 from .exactnum import Relation, _Program, _solve_certified
 from .graphs import Graph, TwoColoring, enumerate_colorings
@@ -67,23 +67,29 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class SubgraphDescriptor:
+class SubgraphDescriptor(_Frozen):
     """A 3-vertex subgraph: sorted vertex triple plus an edge subset."""
 
-    vertices: tuple[int, int, int]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        vs = tuple(sorted(self.vertices))
+    def __init__(self, vertices: tuple[int, int, int], edges: tuple[tuple[int, int], ...]):
+        vs = tuple(sorted(vertices))
         if len(set(vs)) != 3:
-            raise InputError(f"need three distinct vertices, got {self.vertices}")
+            raise InputError(f"need three distinct vertices, got {vertices}")
         pairs = set(itertools.combinations(vs, 2))
-        es = tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))
+        es = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
         if len(set(es)) != len(es) or not set(es) <= pairs:
-            raise InputError(f"edges {self.edges} do not fit inside {vs}")
+            raise InputError(f"edges {edges} do not fit inside {vs}")
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", es)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertices, self.edges) == (other.vertices, other.edges)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -103,20 +109,19 @@ def induced_descriptor(g: Graph, triple) -> SubgraphDescriptor:
     return SubgraphDescriptor(tuple(triple), g.induced_edges(triple))
 
 
-@dataclass
-class SubgraphWeights:
+class SubgraphWeights(_Record):
     """Nonnegative rational weights on 3-vertex subgraphs of a base graph."""
 
-    graph: Graph
-    weights: dict[SubgraphDescriptor, Fraction]
+    __slots__ = ("graph", "weights")
 
-    def __post_init__(self):
+    def __init__(self, graph: Graph, weights: dict[SubgraphDescriptor, Fraction]):
         # A weight that is already a Fraction is kept as given.  Each edge
         # (u, v), u < v inside the checked triple, is read from the mask at
         # its K_n index.
+        self.graph = graph
         cleaned = {}
-        n, mask = self.graph.n, self.graph.mask
-        for desc, w in self.weights.items():
+        n, mask = graph.n, graph.mask
+        for desc, w in weights.items():
             if not isinstance(w, Fraction):
                 w = Fraction(w)
             if w.numerator < 0:
@@ -574,10 +579,12 @@ def cover_to_packing(ts: SubgraphWeights, g: Graph) -> SubgraphWeights:
     return ts.restricted_to_triangles()
 
 
-@dataclass(frozen=True)
-class ColoringPackingStats:
-    tau_c: int
-    tau_star_sum: Fraction
+class ColoringPackingStats(_Frozen):
+    __slots__ = ("tau_c", "tau_star_sum")
+
+    def __init__(self, tau_c: int, tau_star_sum: Fraction):
+        object.__setattr__(self, "tau_c", tau_c)
+        object.__setattr__(self, "tau_star_sum", tau_star_sum)
 
 
 def _tau_sum(c: TwoColoring) -> int:

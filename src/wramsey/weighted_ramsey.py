@@ -62,10 +62,10 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._record import _Frozen
 from .errors import CapabilityError, CertificateError, ContractViolationError, InputError
 from .exactnum import Relation, _Program, _Solution, _solve_certified
 from .graphs import (
@@ -78,17 +78,15 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class WeightAssignment:
+class WeightAssignment(_Frozen):
     """Nonnegative rational weight on every edge of K_n."""
 
-    n: int
-    weights: dict[tuple[int, int], Fraction]
+    __slots__ = ("n", "weights")
 
-    def __post_init__(self):
+    def __init__(self, n: int, weights: dict[tuple[int, int], Fraction]):
         # A weight that is already a Fraction is kept as given.
-        full = dict.fromkeys(all_edges(self.n), Fraction(0))
-        for (u, v), w in self.weights.items():
+        full = dict.fromkeys(all_edges(n), Fraction(0))
+        for (u, v), w in weights.items():
             key = (u, v) if u < v else (v, u)
             if key not in full:
                 raise InputError(f"weight on non-edge ({u}, {v})")
@@ -97,6 +95,7 @@ class WeightAssignment:
             if w.numerator < 0:
                 raise InputError(f"negative weight on ({u}, {v})")
             full[key] = w
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", full)
 
     def __getitem__(self, edge: tuple[int, int]) -> Fraction:
@@ -117,21 +116,23 @@ class WeightAssignment:
         )
 
 
-@dataclass(frozen=True)
-class WramResult:
-    n: int
-    k: int
-    value: Fraction
-    r_value: Fraction
-    witness_coloring: TwoColoring
-    witness_weights: WeightAssignment
-    partial: bool = False
-    num_colorings: int = 0
+class WramResult(_Frozen):
+    __slots__ = ("n", "k", "value", "r_value", "witness_coloring", "witness_weights",
+                 "partial", "num_colorings")
 
-    def __post_init__(self):
-        pairs = Fraction(self.n * (self.n - 1), 2)
-        if self.value * self.r_value != pairs:
+    def __init__(self, n: int, k: int, value: Fraction, r_value: Fraction,
+                 witness_coloring: TwoColoring, witness_weights: WeightAssignment,
+                 partial: bool = False, num_colorings: int = 0):
+        if value * r_value != Fraction(n * (n - 1), 2):
             raise CertificateError("wram value times r value must equal C(n,2)")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "r_value", r_value)
+        object.__setattr__(self, "witness_coloring", witness_coloring)
+        object.__setattr__(self, "witness_weights", witness_weights)
+        object.__setattr__(self, "partial", partial)
+        object.__setattr__(self, "num_colorings", num_colorings)
 
 
 # Largest n the weight LP accepts.  Measured on a 2-core machine over a

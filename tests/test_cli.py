@@ -223,6 +223,17 @@ def test_packing_huge_vertex_count_exits_2(capsys, tmp_path):
     assert "vertex count 999999999999999999993 outside 3..16" in err
 
 
+@pytest.mark.parametrize("count", ["-1", "2", "17", "999999999999999999993"])
+def test_wram_file_vertex_count_outside_range_exits_2(capsys, tmp_path, count):
+    # Each coloring record's count is checked at its header, before the
+    # record's C(n,2) edge lines are counted.
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"n {count}\n0 1 R\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "--stable", "wram", "--k", "3", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert f"vertex count {count} outside 3..16" in err
+
+
 def test_failed_certificate_exits_4(capsys, monkeypatch, k4_graph_file):
     monkeypatch.setattr(exactnum, "_certified", lambda prog, sol: False)
     code, out, err = run_cli(

@@ -1,6 +1,5 @@
 """Packing/covering invariants and the constructive conversions."""
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -592,7 +591,7 @@ def _without_later_single_edge_copies(program, solution, members):
     assert not any(v for j, v in enumerate(solution.primal) if j not in column)
     rows = tuple(tuple(column[j] for j in row if j in column) for row in rows)
     return ((len(kept), rows, sense, relation),
-            dataclasses.replace(solution, primal=tuple(solution.primal[j] for j in kept)))
+            solution._replace(primal=tuple(solution.primal[j] for j in kept)))
 
 
 @pytest.mark.parametrize("name", ["tau_star", "r_induced", "r_tilde"])
@@ -750,13 +749,13 @@ def test_tau_family_descriptors_are_the_induced_ones():
 
 def test_r_tilde_builds_descriptors_only_for_the_witness(monkeypatch):
     built = []
-    post_init = SubgraphDescriptor.__post_init__
+    init = SubgraphDescriptor.__init__
 
-    def counting_post_init(self):
+    def counting_init(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(SubgraphDescriptor, "__post_init__", counting_post_init)
+    monkeypatch.setattr(SubgraphDescriptor, "__init__", counting_init)
     _, witness = r_tilde(Graph.complete(8))
     assert witness.weights
     assert len(built) <= len(witness.weights)

@@ -1,6 +1,5 @@
 """Weight LP over colorings, exhaustive search, monotone chain."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -152,7 +151,7 @@ def test_pruned_search_keeps_the_full_search_result():
     cases = [(n, k) for n in range(3, 7) for k in range(3, n + 1)] + [(7, 3), (7, 4)]
     for n, k in cases:
         full = wram_for_colorings(enumerate_colorings(n), k)
-        assert dataclasses.replace(full, partial=False) == wram(n, k), (n, k)
+        assert full._replace(partial=False) == wram(n, k), (n, k)
 
 
 def test_supplied_list_ties_go_to_the_earlier_entry():
