@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import itertools
 import json
 import sys
 import time
@@ -32,17 +31,8 @@ from .errors import (
     InputError,
 )
 from .graphs import format_coloring, parse_colorings, parse_graph, turan_number
-from .packing import (
-    SubgraphDescriptor,
-    SubgraphWeights,
-    r_induced,
-    r_tilde,
-    tau_integral_family,
-    tau_star,
-)
+from .packing import _r_induced_core, _r_tilde_core, _tau_star_core, tau_integral_family
 from .weighted_ramsey import wram, wram_for_colorings
-
-_ONE = Fraction(1)
 
 
 def format_rational(x: Fraction) -> str:
@@ -72,17 +62,22 @@ def format_decimal(x: Fraction) -> str:
     return _pair_decimal(x.numerator, x.denominator)
 
 
-def format_subgraph_weights(sw: SubgraphWeights) -> str:
-    """Lines "v1 v2 v3 | edge-mask | p/q"; mask bits order (v1v2, v1v3, v2v3)."""
+def _witness_text(g, d: int, witness: list) -> str:
+    """A packing core's witness as lines "v1 v2 v3 | edge-mask | p/q",
+    sorted by triple and edges; mask bits order (v1v2, v1v3, v2v3)."""
+    edges = g.edges()
     lines = []
-    for desc in sorted(sw.weights, key=lambda d: (d.vertices, d.edges)):
-        a, b, c = desc.vertices
+    # Edge positions ascend with the pairs, so sorting by them sorts by the
+    # pairs.  In a triple a < b < c, pair (u, v) takes bit
+    # (u != a) + (v == c).
+    for ((a, b, c), member_edges), x in sorted(witness):
         mask = 0
-        for bit, pair in enumerate(((a, b), (a, c), (b, c))):
-            if pair in desc.edges:
-                mask |= 1 << bit
-        lines.append(f"{a} {b} {c} | {mask} | {format_rational(sw.weights[desc])}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        for e in member_edges:
+            u, v = edges[e]
+            mask |= 1 << (u != a) + (v == c)
+        k = gcd(x, d)
+        lines.append(f"{a} {b} {c} | {mask} | {x // k}/{d // k}\n")
+    return "".join(lines)
 
 
 class RunReport(_Frozen):
@@ -187,28 +182,30 @@ def _cmd_wram(args) -> RunReport:
     return RunReport("wram", inputs, result)
 
 
-def _tau_family(g) -> tuple[int, SubgraphWeights]:
-    family = tau_integral_family(g)
-    # Every family member is a triangle of g: its edges are its three pairs.
-    return len(family), SubgraphWeights(g, {
-        SubgraphDescriptor(tri, tuple(itertools.combinations(tri, 2))): _ONE for tri in family
-    })
-
-
 def _cmd_packing(args) -> RunReport:
     g = parse_graph(_read_text(args.graph))
-    # Each statistic maps a graph to its value and a witness.  The table is
-    # built per call, so a wrapper later bound to one of these names is used.
-    stats = {"taustar": tau_star, "tau": _tau_family, "r": r_induced, "rtilde": r_tilde}
-    wanted = list(stats) if args.stat == "all" else [args.stat]
+    # Each LP statistic maps a graph to its optimum, d and witness.  The
+    # table is built per call, so a wrapper later bound to one of these
+    # names is used.
+    cores = {"taustar": _tau_star_core, "r": _r_induced_core, "rtilde": _r_tilde_core}
+    wanted = ["taustar", "tau", "r", "rtilde"] if args.stat == "all" else [args.stat]
     result: dict = {}
-    witnesses: dict[str, SubgraphWeights] = {}
+    witnesses: dict[str, str] = {}
     for stat in wanted:
-        value, witnesses[stat] = stats[stat](g)
-        result[stat] = str(value) if isinstance(value, int) else format_rational(value)
-    if args.witness:
-        for stat in wanted:
-            result[f"witness_{stat}"] = format_subgraph_weights(witnesses[stat])
+        if stat == "tau":
+            family = tau_integral_family(g)
+            result[stat] = str(len(family))
+            if args.witness:
+                # Every family member is a triangle: all three edges, weight 1.
+                # The family comes sorted, as the witness lines are.
+                witnesses[stat] = "".join(f"{a} {b} {c} | 7 | 1/1\n" for a, b, c in family)
+        else:
+            optimum, d, witness = cores[stat](g)
+            result[stat] = format_rational(optimum)
+            if args.witness:
+                witnesses[stat] = _witness_text(g, d, witness)
+    for stat, text in witnesses.items():
+        result[f"witness_{stat}"] = text
     return RunReport("packing", {"graph": args.graph, "stat": args.stat}, result)
 
 

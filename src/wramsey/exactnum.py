@@ -158,10 +158,12 @@ class _Kernel:
     d = |det B|, ``inv`` holds d * K^-1 in integers: one row per basic
     decision (``cols``), whose column 0 is d times the decision's value and
     whose column c >= 1 belongs to kernel row rows[c].  ``lx[i]`` is d
-    times the value of row i's basic logical.  For a column a, d * B^-1 a
-    is inv * a on the basic decisions and sig[i] * (d * a_i - A_i . inv * a)
-    on a logical row i, A_i being row i of the decision matrix on the
-    basic decisions.
+    times the value of row i's basic logical, and 0 on a kernel row.  For a
+    column a, d * B^-1 a is inv * a on the basic decisions and
+    sig[i] * (d * a_i - A_i . inv * a) on a logical row i, A_i being row i
+    of the decision matrix on the basic decisions.  Once the kernel spans
+    every row, as a crash basis with a unit column in every row makes it
+    do, there is no logical row to compute or move.
 
     The duals pi = c_B d B^-1 are kept by the caller in a list of m + 1:
     pi[m] holds c_B times the basic values, and rows[0] = m, so that the
@@ -209,6 +211,9 @@ class _Kernel:
             alpha = [sum(get(row)) for row in inv]
         else:
             alpha = [0] * len(inv)
+        if len(self.rows) > len(sig):
+            # Every row is a kernel row: there is no logical row.
+            return alpha, {}
         t = {i: d * v for i in rows if sig[i]}
         crow = self.crow
         for j, a in zip(self.cols, alpha):
@@ -300,6 +305,9 @@ class _Kernel:
         everything so that d = |p| stays positive.  Returns the new duals.
         """
         d, inv, lx, rows, rpos = self.d, self.inv, self.lx, self.rows, self.rpos
+        # With every row in the kernel, t is empty and every entry of lx is
+        # 0, so no logical value moves.
+        spans = len(rows) > len(lx)
         grow = s_out < 0
         if grow:
             p = t[i_out]
@@ -335,10 +343,11 @@ class _Kernel:
                     if v:
                         pi[r] += rc * v // d
         else:
-            lx = [p * a for a in lx]
-            for i, f in t.items():
-                lx[i] -= f * b_out
-            self.lx = lx = [a // d for a in lx]
+            if not spans:
+                lx = [p * a for a in lx]
+                for i, f in t.items():
+                    lx[i] -= f * b_out
+                self.lx = lx = [a // d for a in lx]
             if pi is not None:
                 pi = [p * a for a in pi]
                 for r, v in zip(rows, rho):

@@ -19,9 +19,13 @@ column: a member's column is the row numbers of its edges.  Every edge is
 a row of ``r_induced`` and ``r_tilde``, so there a row number is the edge
 position; ``tau_star``'s rows are the edges that lie in a triangle,
 numbered in edge order.  ``exactnum._solve_certified`` solves and
-certifies the program in integer numerators over one denominator, and
-rationals are built only for the optimum and the witness's nonzero
-weights; only the witness's members become descriptors.
+certifies the program in integer numerators over one denominator.  Each
+LP has a private core (``_tau_star_core``, ``_r_induced_core``,
+``_r_tilde_core``) that returns the optimum, the denominator d and the
+witness's members with their nonzero numerators over d.  The public
+functions build descriptors and rational weights for the witness's
+members only; the CLI prints the witness from the core's integers and
+builds none.
 
 An edge's single-edge member is the same column on every triple that holds
 it, so ``r_induced`` and ``r_tilde`` pose it once, on the first such triple
@@ -199,18 +203,13 @@ def _tau_star_program(g: Graph) -> tuple[list, _Program]:
                                rank[-1], Relation.LE, True)
 
 
+def _tau_star_core(g: Graph) -> tuple[Fraction, int, list]:
+    return _certified_witness(*_tau_star_program(g))
+
+
 def tau_star(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     """Fractional triangle packing number with an optimal weight witness."""
-    return _optimize(g, *_tau_star_program(g))
-
-
-def _tau_star_value(g: Graph) -> Fraction:
-    """tau_star(g)'s value alone: no witness is built."""
-    triangles, program = _tau_star_program(g)
-    if not triangles:
-        return _ZERO
-    solution = _solve_certified(program, "packing LP")
-    return Fraction(solution.optimum, solution.d)
+    return _weights(g, *_tau_star_core(g))
 
 
 # Measured on a 2-core machine: K_10 takes 2 ms and the slowest n = 10 graph
@@ -274,18 +273,26 @@ def tau_integral_family(g: Graph) -> list[tuple[int, int, int]]:
     return [triangles[i][0] for i in sorted(best_sel)]
 
 
-def _optimize(g: Graph, members: list[tuple[tuple[int, ...], tuple[int, ...]]],
-              program: _Program) -> tuple[Fraction, SubgraphWeights]:
-    """The certified optimum of a packing program and its witness: member
-    j, a vertex triple with the positions of its edges, is column j."""
+def _certified_witness(members: list[tuple[tuple[int, ...], tuple[int, ...]]],
+                       program: _Program) -> tuple[Fraction, int, list]:
+    """The certified optimum of a packing program, its denominator d and its
+    witness: each member with a nonzero weight, a vertex triple with the
+    positions of its edges, paired with the weight's numerator over d.
+    Member j is column j."""
     if not members:
-        return _ZERO, SubgraphWeights(g, {})
+        return _ZERO, 1, []
     solution = _solve_certified(program, "packing LP")
-    d = solution.d
+    return Fraction(solution.optimum, solution.d), solution.d, [
+        (members[j], x) for j, x in enumerate(solution.primal) if x]
+
+
+def _weights(g: Graph, optimum: Fraction, d: int,
+             witness: list) -> tuple[Fraction, SubgraphWeights]:
+    """A packing core's optimum with its witness as validated weights."""
     edges = g.edges()
-    return Fraction(solution.optimum, d), SubgraphWeights(g, {
-        SubgraphDescriptor(members[j][0], tuple(edges[e] for e in members[j][1])): Fraction(x, d)
-        for j, x in enumerate(solution.primal) if x
+    return optimum, SubgraphWeights(g, {
+        SubgraphDescriptor(triple, tuple(edges[e] for e in member_edges)): Fraction(x, d)
+        for (triple, member_edges), x in witness
     })
 
 
@@ -310,6 +317,12 @@ def _single_edges_once(members):
     return out
 
 
+def _r_induced_core(g: Graph) -> tuple[Fraction, int, list]:
+    _require_cap(g, _R_INDUCED_CAP, "induced cover")
+    members = _single_edges_once(_incidence(g))
+    return _certified_witness(members, _cover_program(g, members, Relation.GE))
+
+
 def r_induced(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     """Minimum fractional cover of E(G) by induced 3-vertex subgraphs.
 
@@ -318,9 +331,7 @@ def r_induced(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     later copy (module docstring), so the optimum and witness are those of
     the program over every triple.
     """
-    _require_cap(g, _R_INDUCED_CAP, "induced cover")
-    members = _single_edges_once(_incidence(g))
-    return _optimize(g, members, _cover_program(g, members, Relation.GE))
+    return _weights(g, *_r_induced_core(g))
 
 
 @functools.lru_cache(maxsize=None)
@@ -351,6 +362,12 @@ def _tilde_members(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return members
 
 
+def _r_tilde_core(g: Graph) -> tuple[Fraction, int, list]:
+    _require_cap(g, _R_TILDE_CAP, "exact-load cover")
+    members = _tilde_members(g)
+    return _certified_witness(members, _cover_program(g, members, Relation.EQ))
+
+
 def r_tilde(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     """Minimum total weight with every edge loaded exactly once.
 
@@ -359,9 +376,7 @@ def r_tilde(g: Graph) -> tuple[Fraction, SubgraphWeights]:
     Bland's rule never enters (module docstring), so the optimum and witness
     are those of the program over every member.
     """
-    _require_cap(g, _R_TILDE_CAP, "exact-load cover")
-    members = _tilde_members(g)
-    return _optimize(g, members, _cover_program(g, members, Relation.EQ))
+    return _weights(g, *_r_tilde_core(g))
 
 
 def lift_tilde_to_induced(tw: SubgraphWeights) -> SubgraphWeights:
@@ -592,7 +607,7 @@ def _tau_sum(c: TwoColoring) -> int:
 
 
 def _tau_star_sum(c: TwoColoring) -> Fraction:
-    return _tau_star_value(c.red) + _tau_star_value(c.blue)
+    return _tau_star_core(c.red)[0] + _tau_star_core(c.blue)[0]
 
 
 def coloring_packing_stats(c: TwoColoring) -> ColoringPackingStats:
@@ -607,7 +622,7 @@ def coloring_packing_stats(c: TwoColoring) -> ColoringPackingStats:
 
 def tau_min_over_colorings(n: int, fractional: bool) -> tuple[Fraction, TwoColoring]:
     """Minimum of the packing statistic over one coloring per class; the
-    fractional one reads tau_star values, building no witness."""
+    fractional one reads tau_star values, building no weights."""
     coloring, value = _first_extremum(
         enumerate_colorings(n), _tau_star_sum if fractional else _tau_sum, operator.neg
     )

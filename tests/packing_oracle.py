@@ -7,18 +7,65 @@ branch and bound works on frozensets of edge tuples.  ``wramsey.packing``
 reads all of them from ``Graph.induced_rows(3)`` instead, so on every graph
 both must pose the same unit programs and return the same witnesses, in the
 same order, and the same triangle families.
+
+It also keeps the witness text of the earlier CLI, which rendered every
+witness from its ``SubgraphWeights`` (``format_subgraph_weights``, and
+``tau_family`` for the integral packing); ``wramsey.cli`` now renders the
+same lines from the certified numerators.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
+from wramsey import packing
 from wramsey.exactnum import Relation, Sense, solve_unit_program
 from wramsey.graphs import Graph
 from wramsey.packing import SubgraphDescriptor, SubgraphWeights
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def random_graph(rng: random.Random, n: int, p: Fraction) -> Graph:
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
+def corpus() -> list[Graph]:
+    """Every graph on 3 and 4 vertices, then seeded graphs and K_n for n = 5..9."""
+    graphs = [Graph(n, mask) for n in (3, 4) for mask in range(1 << n * (n - 1) // 2)]
+    rng = random.Random(20261018)
+    for n in range(5, 10):
+        graphs += [random_graph(rng, n, p)
+                   for p in (Fraction(3, 10), Fraction(1, 2), Fraction(4, 5)) * 2]
+        graphs.append(Graph.complete(n))
+    return graphs
+
+
+def format_subgraph_weights(sw: SubgraphWeights) -> str:
+    """Lines "v1 v2 v3 | edge-mask | p/q"; mask bits order (v1v2, v1v3, v2v3)."""
+    lines = []
+    for desc in sorted(sw.weights, key=lambda d: (d.vertices, d.edges)):
+        a, b, c = desc.vertices
+        mask = 0
+        for bit, pair in enumerate(((a, b), (a, c), (b, c))):
+            if pair in desc.edges:
+                mask |= 1 << bit
+        w = sw.weights[desc]
+        lines.append(f"{a} {b} {c} | {mask} | {w.numerator}/{w.denominator}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def tau_family(g: Graph) -> tuple[int, SubgraphWeights]:
+    """The integral packing's size and its family as unit weights."""
+    family = packing.tau_integral_family(g)
+    # Every family member is a triangle of g: its edges are its three pairs.
+    return len(family), SubgraphWeights(g, {
+        SubgraphDescriptor(tri, tuple(itertools.combinations(tri, 2))): _ONE for tri in family
+    })
 
 
 def triangles(g: Graph) -> tuple[tuple[int, int, int], ...]:

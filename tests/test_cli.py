@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bounds_oracle
+import packing_oracle
+from packing_oracle import format_subgraph_weights
 from wramsey import exactnum
 from wramsey.cli import (
     RunReport,
+    _witness_text,
     format_decimal,
     format_rational,
-    format_subgraph_weights,
     main,
     parse_rational,
     report_from_json,
@@ -33,8 +35,9 @@ from wramsey.graphs import (
     format_coloring,
     format_graph,
     mono_triangle_free_k5,
+    parse_graph,
 )
-from wramsey.packing import SubgraphWeights, induced_descriptor
+from wramsey.packing import SubgraphWeights, induced_descriptor, r_induced, r_tilde, tau_star
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -204,6 +207,68 @@ def test_packing_witness_lines(capsys, k3_graph_file):
     )
     assert code == 0
     assert "0 1 2 | 7 | 1/1" in out
+
+
+# The graph files of the CI smoke job: K_4 plus a vertex joined to two of
+# its vertices, a dense n = 8 graph whose r_tilde kernel spans every row,
+# and a triangle with a pendant path, three of whose edges lie in no
+# triangle.
+_SMOKE_GRAPHS = [
+    "n 5\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n2 4\n3 4\n",
+    "n 8\n0 1\n0 3\n0 4\n0 5\n0 6\n1 2\n1 3\n1 4\n1 5\n1 6\n1 7\n2 4\n2 5\n2 6\n"
+    "2 7\n3 4\n3 6\n3 7\n4 5\n4 7\n5 6\n5 7\n6 7\n",
+    "n 6\n0 1\n0 2\n1 2\n2 3\n3 4\n4 5\n",
+]
+
+
+def _packing_graph_files(monkeypatch, tmp_path) -> list[str]:
+    """The graphs of the pinned witness digest (n <= 8), K_3..K_10 and the
+    CI smoke graphs, each written to a file named relative to tmp_path, the
+    working directory, so that the reports' graph paths do not vary."""
+    monkeypatch.chdir(tmp_path)
+    texts = [format_graph(g) for g in packing_oracle.corpus() if g.n <= 8]
+    texts += [format_graph(Graph.complete(n)) for n in range(3, 11)]
+    texts += _SMOKE_GRAPHS
+    paths = []
+    for i, text in enumerate(texts):
+        path = f"g{i}.txt"
+        (tmp_path / path).write_text(text, encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+# sha256 over the exit code, stdout and stderr of `--stable [--json]
+# packing --stat <stat> --witness` on every graph of _packing_graph_files.
+PINNED_PACKING_CLI_DIGEST = "394c5ad6780d6af667bc68c8be33d480ebdb46eab6cf67a2609f219562a7895c"
+
+
+def test_packing_cli_bytes_match_pinned_digest(capsys, monkeypatch, tmp_path):
+    digest = hashlib.sha256()
+    for path in _packing_graph_files(monkeypatch, tmp_path):
+        for mode in ([], ["--json"]):
+            for stat in ("all", "taustar", "tau", "r", "rtilde"):
+                code, out, err = run_cli(capsys, "--stable", *mode, "packing", "--graph",
+                                         path, "--stat", stat, "--witness")
+                digest.update(f"{stat} {mode} {code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == PINNED_PACKING_CLI_DIGEST
+
+
+def test_packing_witness_text_matches_the_weights_oracle(capsys, monkeypatch, tmp_path):
+    # Each witness line the CLI prints is the one the validated
+    # SubgraphWeights of the public function renders to.
+    publics = {"taustar": tau_star, "tau": packing_oracle.tau_family,
+               "r": r_induced, "rtilde": r_tilde}
+    for path in _packing_graph_files(monkeypatch, tmp_path):
+        g = parse_graph((tmp_path / path).read_text(encoding="utf-8"))
+        code, out, err = run_cli(capsys, "--stable", "--json", "packing", "--graph", path,
+                                 "--stat", "all", "--witness")
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        for stat, public in publics.items():
+            value, weights = public(g)
+            assert result[stat] == (str(value) if isinstance(value, int)
+                                    else format_rational(value))
+            assert result[f"witness_{stat}"] == format_subgraph_weights(weights)
 
 
 def test_packing_parse_error(capsys, tmp_path):
@@ -507,6 +572,8 @@ def test_subgraph_weight_serialization_masks():
     text = format_subgraph_weights(SubgraphWeights(g, {desc: F(1, 2)}))
     # Edges (0,1) and (1,2) are bits 0 and 2 of the (v1v2, v1v3, v2v3) mask.
     assert text == "0 1 2 | 5 | 1/2\n"
+    # The CLI renders the same member, edge positions 0 and 1, weight 2/4.
+    assert _witness_text(g, 4, [(((0, 1, 2), (0, 1)), 2)]) == text
 
 
 _PINNED = Path(__file__).resolve().parent / "pinned"

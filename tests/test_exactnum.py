@@ -473,6 +473,36 @@ def test_kernel_inverse_matches_dense_oracle(args):
     assert _solved(*args)[2] == dense_solve_unit(*args)
 
 
+@st.composite
+def _spanning_programs(draw):
+    """A >= or = unit program in which every row holds a column of its own,
+    at a drawn place among shared columns of two or three rows, like
+    r_tilde's members.  The crash basis puts a decision in every row, as it
+    does for r_tilde, so the kernel spans every row from the start; in a
+    >= program a surplus can enter and reopen a logical row.  A drawn row
+    may go without its own column, so that the kernel starts one row short
+    of spanning and phase 1 closes the last logical row."""
+    m = draw(st.integers(1, 6))
+    shared = draw(st.integers(0, 8))
+    cols = [draw(st.lists(st.integers(0, m - 1), unique=True, min_size=min(2, m), max_size=3))
+            for _ in range(shared)]
+    short = draw(st.integers(0, m - 1)) if draw(st.booleans()) else -1
+    rows = [[j for j, col in enumerate(cols) if i in col] + [shared + i] * (i != short)
+            for i in range(m)]
+    ids = draw(st.permutations(range(shared + m)))
+    rows = [sorted(ids[j] for j in row) for row in rows]
+    sense = draw(st.sampled_from(list(Sense)))
+    relation = draw(st.sampled_from([Relation.GE, Relation.EQ]))
+    return shared + m, rows, sense, relation
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(_spanning_programs())
+def test_kernel_spanning_every_row_matches_dense_oracle(args):
+    # Same status, optimum, primal and dual: the same pivot path.
+    assert _solved(*args)[2] == dense_solve_unit(*args)
+
+
 def test_weight_lp_blocks_match_dense_oracle(monkeypatch):
     seen = capture_unit_programs(monkeypatch)
     for n in range(3, 7):

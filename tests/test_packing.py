@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import packing_oracle
 from dense_oracle import solve_unit as dense_solve_unit
 from unit_programs import capture_unit_programs
-from wramsey import cli, exactnum, packing
+from wramsey import exactnum, packing
 from wramsey.errors import CapabilityError, ContractViolationError, InputError
 from wramsey.exactnum import Relation, Sense, solve_unit_program
 from wramsey.graphs import Graph, TwoColoring, enumerate_colorings, mono_triangle_free_k5
@@ -39,18 +39,13 @@ from wramsey.packing import (
 from wramsey.weighted_ramsey import r_of_coloring
 
 
-def _random_graph(rng: random.Random, n: int, p: F) -> Graph:
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
-
-
 def small_corpus(count: int = 60, seed: int = 424242) -> list[Graph]:
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         n = rng.randint(3, 8)
         p = rng.choice([F(3, 10), F(1, 2), F(4, 5)])
-        out.append(_random_graph(rng, n, p))
+        out.append(packing_oracle.random_graph(rng, n, p))
     return out
 
 
@@ -116,7 +111,7 @@ def test_tau_integral_triangle_free():
 def test_tau_integral_matches_brute_force_on_random_graphs():
     rng = random.Random(99)
     for _ in range(25):
-        g = _random_graph(rng, rng.randint(4, 6), F(3, 5))
+        g = packing_oracle.random_graph(rng, rng.randint(4, 6), F(3, 5))
         assert tau_integral(g) == _brute_force_tau(g)
 
 
@@ -234,7 +229,7 @@ def test_lift_preserves_total_on_random_feasible_inputs():
     rng = random.Random(31)
     done = 0
     while done < 100:
-        g = _random_graph(rng, rng.randint(3, 7), F(1, 2))
+        g = packing_oracle.random_graph(rng, rng.randint(3, 7), F(1, 2))
         if not g.edge_count:
             continue
         tw = _random_feasible_exact_load(g, rng)
@@ -287,7 +282,7 @@ def test_redistribute_on_minimal_covers_with_large_excess():
     rng = random.Random(2024)
     done = 0
     while done < 60:
-        g = _random_graph(rng, rng.randint(4, 8), rng.choice([F(1, 2), F(4, 5)]))
+        g = packing_oracle.random_graph(rng, rng.randint(4, 8), rng.choice([F(1, 2), F(4, 5)]))
         if not g.edge_count:
             continue
         heavy = SubgraphWeights(
@@ -309,7 +304,7 @@ def test_full_pipeline_on_lp_optima():
     rng = random.Random(77)
     done = 0
     while done < 100:
-        g = _random_graph(rng, rng.randint(3, 7), rng.choice([F(2, 5), F(3, 5)]))
+        g = packing_oracle.random_graph(rng, rng.randint(3, 7), rng.choice([F(2, 5), F(3, 5)]))
         if not g.edge_count:
             continue
         _, wi = r_induced(g)
@@ -423,7 +418,7 @@ def test_per_color_sum_equals_joint_maximum():
     rng = random.Random(3)
     for _ in range(15):
         n = rng.randint(4, 6)
-        red = _random_graph(rng, n, F(1, 2))
+        red = packing_oracle.random_graph(rng, n, F(1, 2))
         c = TwoColoring(red)
         assert coloring_packing_stats(c).tau_c == _joint_mono_packing(c)
 
@@ -550,18 +545,8 @@ def test_subgraph_weights_edge_check_reads_the_mask():
 
 # -- the descriptor-based oracle --------------------------------------------
 
-def _oracle_corpus() -> list[Graph]:
-    """Every graph on 3 and 4 vertices, then seeded graphs and K_n for n = 5..9."""
-    graphs = [Graph(n, mask) for n in (3, 4) for mask in range(1 << n * (n - 1) // 2)]
-    rng = random.Random(20261018)
-    for n in range(5, 10):
-        graphs += [_random_graph(rng, n, p) for p in (F(3, 10), F(1, 2), F(4, 5)) * 2]
-        graphs.append(Graph.complete(n))
-    return graphs
-
-
 def test_triangles_and_integral_family_match_oracle():
-    for g in _oracle_corpus():
+    for g in packing_oracle.corpus():
         assert g.triangles() == packing_oracle.triangles(g)
         assert tau_integral_family(g) == packing_oracle.tau_integral_family(g)
 
@@ -601,7 +586,7 @@ def test_packing_lps_match_oracle(monkeypatch, name):
     # same order; the n = 9 graphs only feed the cheaper test above.
     seen = capture_unit_programs(monkeypatch)
     solved = 0
-    for g in _oracle_corpus():
+    for g in packing_oracle.corpus():
         if g.n > 8:
             continue
         value, witness = getattr(packing, name)(g)
@@ -713,7 +698,7 @@ def _assert_posed_by_rows(monkeypatch, g: Graph) -> None:
 
 
 def test_programs_posed_by_column_equal_the_row_built_ones(monkeypatch):
-    for g in _oracle_corpus():
+    for g in packing_oracle.corpus():
         if g.n <= 8:
             _assert_posed_by_rows(monkeypatch, g)
     # Three of the six edges of a triangle with a pendant path lie in no
@@ -739,8 +724,10 @@ def test_r_tilde_first_triple_members(g):
 
 
 def test_tau_family_descriptors_are_the_induced_ones():
-    for g in _oracle_corpus() + [Graph.complete(10)]:
-        count, weights = cli._tau_family(g)
+    # The oracle's family weights, and the CLI's "| 7 | 1/1" witness lines,
+    # take each family member's edges to be its three pairs.
+    for g in packing_oracle.corpus() + [Graph.complete(10)]:
+        count, weights = packing_oracle.tau_family(g)
         family = tau_integral_family(g)
         assert count == len(family)
         assert list(weights.weights) == [induced_descriptor(g, tri) for tri in family]
@@ -769,7 +756,7 @@ PINNED_WITNESS_DIGEST = "e421dbb924a1532168dae96062f4306266f90f0b63e6b27005d12e0
 
 def _witness_digest() -> str:
     digest = hashlib.sha256()
-    for g in _oracle_corpus():
+    for g in packing_oracle.corpus():
         if g.n > 8:
             continue
         for stat in (tau_star, r_induced, r_tilde):

@@ -1,5 +1,6 @@
 """Weight LP over colorings, exhaustive search, monotone chain."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -409,3 +410,21 @@ def test_inconsistent_wram_result_is_a_certificate_failure():
 def test_maximizing_over_no_coloring_is_a_contract_violation():
     with pytest.raises(ContractViolationError):
         _first_extremum([], abs, abs)
+
+
+# The digest of the weight-LP value and witness of every K_7 class at k = 3,
+# hashed as test_packing's PINNED_WITNESS_DIGEST hashes those for n <= 6.
+PINNED_N7_K3_WITNESS_DIGEST = "a16a3498aafc90c7cd33eb21805db884ef9732ca789bf996c03e6c0fe87f2402"
+
+
+def test_n7_k3_weight_lp_witnesses_match_pinned_digest():
+    digest = hashlib.sha256()
+    classes = enumerate_colorings(7)
+    for c in classes:
+        value, weights = r_of_coloring(c, 3)
+        digest.update(f"r 7 {c.red.mask} 3 {value}\n".encode())
+        for e, w in weights.weights.items():
+            if w:
+                digest.update(f"{e} {w}\n".encode())
+    assert len(classes) == 522
+    assert digest.hexdigest() == PINNED_N7_K3_WITNESS_DIGEST
